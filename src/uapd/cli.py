@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -31,7 +32,8 @@ from .analysis import (decay_spec_for_solver, envelope, fit_rate,
                        rate_bound_preconditions)
 from .flow import integrate, trajectory_to_csv
 from .problems import InstanceRecipe, instance_from_dict
-from .solver import SolverConfig, SolverError, solve, solve_fixed_tolerance, trace_to_csv
+from .solver import (SolverConfig, SolverError, _fmt, solve, solve_fixed_tolerance,
+                     trace_to_csv)
 
 __all__ = ["main", "ConfigError", "cmd_solve", "cmd_compare", "cmd_flow", "cmd_bounds"]
 
@@ -56,6 +58,15 @@ def _require(cfg, field):
     if field not in cfg:
         raise ConfigError(f"config is missing the field '{field}'")
     return cfg[field]
+
+
+def _number(value, name, integer=False):
+    """``value`` if it is a finite number (an integer if asked), else ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not math.isfinite(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"'{name}' must be {kind}, got {value!r}")
+    return value
 
 
 def _resolve_instance(spec, base_dir):
@@ -83,6 +94,10 @@ def _solver_config(cfg):
     unknown = set(section) - known
     if unknown:
         raise ConfigError(f"unknown solver fields {sorted(unknown)}")
+    for name, value in section.items():
+        default = SolverConfig.__dataclass_fields__[name].default
+        if not (value is None and default is None):
+            _number(value, f"solver.{name}", integer=isinstance(default, int))
     try:
         return SolverConfig(**section)
     except ValueError as exc:
@@ -97,6 +112,8 @@ def _variant(cfg, default_eps=None):
         eps = raw.get("eps", eps)
     else:
         name = raw
+    if eps is not None:
+        _number(eps, "eps")
     if name not in ("uapd", "fixed_tolerance"):
         raise ConfigError(f"unknown variant {name!r} (expected 'uapd' or 'fixed_tolerance')")
     if name == "fixed_tolerance":
@@ -107,14 +124,6 @@ def _variant(cfg, default_eps=None):
         if eps <= 0:
             raise ConfigError("eps must be positive")
     return name, eps
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _out_path(out_dir, prefix, suffix):
@@ -220,13 +229,12 @@ def cmd_flow(cfg, base_dir, out_dir):
     section = _require(cfg, "flow")
     if not isinstance(section, dict):
         raise ConfigError("'flow' must be a dict with 't_end' and 'dt'")
-    if "t_end" not in section:
-        raise ConfigError("config is missing the field 'flow.t_end'")
-    if "dt" not in section:
-        raise ConfigError("config is missing the field 'flow.dt'")
-    t_end = float(section["t_end"])
-    dt = float(section["dt"])
-    gamma0 = cfg.get("solver", {}).get("gamma0")
+    for field in ("t_end", "dt"):
+        if field not in section:
+            raise ConfigError(f"config is missing the field 'flow.{field}'")
+        _number(section[field], f"flow.{field}")
+    t_end, dt = float(section["t_end"]), float(section["dt"])
+    gamma0 = _solver_config(cfg).gamma0
     prefix = cfg.get("output", "run")
     trajectory = integrate(instance, t_end=t_end, dt=dt, gamma0=gamma0)
     trajectory_to_csv(trajectory, instance, _out_path(out_dir, prefix, "flow.csv"))
@@ -250,6 +258,14 @@ def cmd_bounds(cfg, base_dir, out_dir):
     section = cfg.get("bounds", {})
     if not isinstance(section, dict):
         raise ConfigError("'bounds' must be a dict")
+    for field in ("nu", "M_nu"):
+        if field in section:
+            _number(section[field], f"bounds.{field}")
+    window = section.get("fit_window")
+    if window is not None:
+        if not (isinstance(window, list) and len(window) == 2):
+            raise ConfigError(f"'bounds.fit_window' must be [k_lo, k_hi], got {window!r}")
+        window = [int(_number(k, "bounds.fit_window")) for k in window]
     nu = float(section.get("nu", 1.0 if instance.differentiable else 0.0))
     m_nu = _bounds_m_nu(section, instance)
     prefix = cfg.get("output", "run")
@@ -261,8 +277,7 @@ def cmd_bounds(cfg, base_dir, out_dir):
     spec = decay_spec_for_solver(nu, mu, resolved.gamma0, gamma_min,
                                  resolved.A_norm, m_nu)
     k_hi_default = min(100, trace[-1].k)
-    window = section.get("fit_window", [10, k_hi_default])
-    k_lo, k_hi = int(window[0]), int(window[1])
+    k_lo, k_hi = window or (10, k_hi_default)
     raw = {r.k: envelope(spec, r.k) for r in trace}
     fits = [r.beta_k / raw[r.k] for r in trace if k_lo <= r.k <= k_hi]
     if not fits:

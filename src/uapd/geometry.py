@@ -77,7 +77,10 @@ def _project_simplex(z):
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, n + 1)
     valid = u - css / idx > 0
-    r = idx[valid][-1]
+    try:
+        r = idx[valid][-1]
+    except IndexError:  # finite input always has a threshold index
+        raise ValueError("non-finite input") from None
     theta = css[r - 1] / r
     return np.maximum(z - theta, 0.0)
 
@@ -91,7 +94,7 @@ def _prox_squared_l1(z, w):
     to tau land exactly on zero.
     """
     u = np.abs(z)
-    if not np.any(u > 0):
+    if u.max() == 0.0:
         return np.zeros_like(z)
     if w <= 0:
         return z.copy()
@@ -100,7 +103,10 @@ def _prox_squared_l1(z, w):
     j = np.arange(1, u.shape[0] + 1)
     taus = w * cum / (1.0 + j * w)
     valid = us > taus
-    jstar = j[valid][-1]
+    try:
+        jstar = j[valid][-1]
+    except IndexError:  # finite input always has a threshold index
+        raise ValueError("non-finite input") from None
     tau = taus[jstar - 1]
     return np.sign(z) * np.maximum(u - tau, 0.0)
 
@@ -342,10 +348,15 @@ class EntropyGeometry(BregmanGeometry):
         c, y, v = self._validate_query(query)
         if query.nonsmooth != "zero":
             raise ValueError("entropy geometry only supports the zero nonsmooth term")
-        self._check_nonneg(y, "anchor_y")
-        self._check_nonneg(v, "anchor_v")
+        if not np.minimum(y, v).min() >= 0:
+            raise ValueError("anchor_y or anchor_v has negative or NaN entries; "
+                             "outside the entropy domain")
         s = query.mu + query.rho
-        a = (query.mu * _floored_log(y) + query.rho * _floored_log(v) - c) / s
+        if query.mu == 0:
+            # mu * log(y) would only add a signed zero here.
+            a = (query.rho * _floored_log(v) - c) / s
+        else:
+            a = (query.mu * _floored_log(y) + query.rho * _floored_log(v) - c) / s
         out = np.empty_like(a)
         for sl in _block_slices(self.blocks):
             e = np.exp(a[sl] - a[sl].max())

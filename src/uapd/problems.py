@@ -195,8 +195,8 @@ def _matrix_game_oracle(P):
         x, y = u[:n], u[n:]
         sx = P.T @ x
         sy = NP @ y
-        j = int(np.argmax(sx))  # argmax takes the smallest maximizing index
-        i = int(np.argmax(sy))
+        j = int(sx.argmax())  # argmax takes the smallest maximizing index
+        i = int(sy.argmax())
         value = float(sx[j] + sy[i])
         grad = np.concatenate([P[:, j], NP[i, :]])
         return value, grad

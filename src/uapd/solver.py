@@ -11,6 +11,14 @@ Two tolerance policies are provided: the default shrinks the tolerance
 proportionally to the step-size parameter beta (no accuracy target is
 needed up front), while :func:`solve_fixed_tolerance` spends a fixed
 eps budget spread over iterations.
+
+Work per line-search trial: two ``h`` calls (at y_k and at the
+candidate x_{k+1}), one composite prox and, for constrained problems,
+one A^T product.  Each accepted iteration adds one A product for the
+dual update, whose residual A v_{k+1} - b is kept in the state for the
+next line search, and one for the recorded feasibility.  The trace's
+objective reuses the accepted h(x_{k+1}).  Inputs are validated at the
+public boundary; inside the loop each trial makes two finiteness checks.
 """
 
 from __future__ import annotations
@@ -119,12 +127,14 @@ class SolverState:
 
     alpha and delta are the step size and tolerance accepted at the
     previous iteration (zero at k = 0); line_search_total accumulates
-    the rejected-trial count Sum_j i_j.
+    the rejected-trial count Sum_j i_j.  residual is A v - b (None when
+    unconstrained), shared by every trial of the next line search.
     """
 
     x: np.ndarray
     v: np.ndarray
     lam: np.ndarray
+    residual: np.ndarray | None
     beta: float
     gamma: float
     M: float
@@ -146,8 +156,6 @@ class InnerResult:
     beta_new: float
     delta: float
     model: float
-    h_at_y: float
-    grad_at_y: np.ndarray
     h_at_x: float
 
 
@@ -180,6 +188,7 @@ def initial_state(instance, config):
         x=x0.copy(),
         v=x0.copy(),
         lam=np.zeros(instance.dual_dimension),
+        residual=instance.A @ x0 - instance.b if instance.constrained else None,
         beta=config.beta0,
         gamma=config.gamma0,
         M=config.M0,
@@ -190,19 +199,14 @@ def initial_state(instance, config):
     )
 
 
-def _require_finite(value, what, k, M):
-    ok = np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)
-    if not ok:
-        raise SolverError(f"non-finite {what} at iteration {k} (M = {M:g})")
-
-
-def inner_step(k, state, M_trial, instance, config, fixed_eps=None, residual_v=None):
+def inner_step(k, state, M_trial, instance, config, fixed_eps=None):
     """Build the candidate step for one curvature trial.
 
-    ``residual_v`` may carry the precomputed constraint residual
-    A v_k - b; it only depends on the outer state, so line-search
-    trials share it.  ``fixed_eps`` switches the tolerance from
-    delta_scale * beta_{k+1} / (k+1) to eps / (k+1).
+    ``fixed_eps`` switches the tolerance from
+    delta_scale * beta_{k+1} / (k+1) to eps / (k+1).  Raises
+    :class:`SolverError` when h(y) or the prox's linear term is
+    non-finite, or when h(x_{k+1}) - model is; a non-finite prox output
+    or h(x_{k+1}) always makes that difference non-finite.
     """
     beta, gamma = state.beta, state.gamma
     alpha = math.sqrt(beta * gamma) / math.sqrt(beta * M_trial + config.A_norm ** 2)
@@ -213,18 +217,17 @@ def inner_step(k, state, M_trial, instance, config, fixed_eps=None, residual_v=N
         delta = fixed_eps / (k + 1)
 
     y = (state.x + alpha * state.v) / (1.0 + alpha)
+    h_y, grad_y = instance.h(y)
     if instance.constrained:
-        if residual_v is None:
-            residual_v = instance.A @ state.v - instance.b
-        lam_tilde = state.lam + (alpha / beta) * residual_v
+        lam_tilde = state.lam + (alpha / beta) * state.residual
+        c = grad_y + instance.A.T @ lam_tilde
     else:
         lam_tilde = state.lam
+        c = grad_y
+    if not (math.isfinite(h_y) and np.isfinite(c).all()):
+        raise SolverError(f"non-finite h(y) or prox linear term at iteration {k} "
+                          f"(M = {M_trial:g})")
 
-    h_y, grad_y = instance.h(y)
-    _require_finite(h_y, "h(y)", k, M_trial)
-    _require_finite(grad_y, "grad h(y)", k, M_trial)
-
-    c = grad_y if not instance.constrained else grad_y + instance.A.T @ lam_tilde
     query = CompositeProxQuery(
         linear_term=c,
         anchor_y=y,
@@ -234,18 +237,17 @@ def inner_step(k, state, M_trial, instance, config, fixed_eps=None, residual_v=N
         nonsmooth="squared_l1_half" if instance.g_spec == "squared_l1_half" else "zero",
     )
     v_new = instance.geometry.composite_prox(query)
-    _require_finite(v_new, "prox output", k, M_trial)
 
     x_new = (state.x + alpha * v_new) / (1.0 + alpha)
     d = x_new - y
     model = h_y + float(grad_y @ d) + 0.5 * M_trial * float(d @ d)
     h_x, _ = instance.h(x_new)
-    _require_finite(h_x, "h(x)", k, M_trial)
+    if not math.isfinite(h_x - model):
+        raise SolverError(f"non-finite h(x) - model at iteration {k} (M = {M_trial:g})")
 
     return InnerResult(
         y=y, x=x_new, v=v_new, lam=lam_tilde,
-        alpha=alpha, beta_new=beta_new, delta=delta, model=model,
-        h_at_y=h_y, grad_at_y=grad_y, h_at_x=h_x,
+        alpha=alpha, beta_new=beta_new, delta=delta, model=model, h_at_x=h_x,
     )
 
 
@@ -256,12 +258,10 @@ def line_search(k, state, instance, config, fixed_eps=None):
     doublings.  The warm start is the previously accepted constant, so
     the accepted sequence never decreases.
     """
-    residual_v = instance.A @ state.v - instance.b if instance.constrained else None
     trials = []
     for i in range(config.line_search_cap + 1):
         M_trial = (2.0 ** i) * state.M
-        result = inner_step(k, state, M_trial, instance, config,
-                            fixed_eps=fixed_eps, residual_v=residual_v)
+        result = inner_step(k, state, M_trial, instance, config, fixed_eps=fixed_eps)
         if result.h_at_x - result.model <= result.delta / 2.0:
             return result, i, M_trial
         trials.append((M_trial, result.h_at_x, result.model, result.delta))
@@ -273,13 +273,15 @@ def line_search(k, state, instance, config, fixed_eps=None):
 def outer_update(state, accepted, M_accepted, instance, config):
     """Advance the state with an accepted step."""
     alpha = accepted.alpha
-    lam = state.lam
+    lam, residual = state.lam, None
     if instance.constrained:
-        lam = state.lam + (alpha / state.beta) * (instance.A @ accepted.v - instance.b)
+        residual = instance.A @ accepted.v - instance.b
+        lam = state.lam + (alpha / state.beta) * residual
     return SolverState(
         x=accepted.x,
         v=accepted.v,
         lam=lam,
+        residual=residual,
         beta=accepted.beta_new,
         gamma=(state.gamma + config.mu * alpha) / (1.0 + alpha),
         M=M_accepted,
@@ -307,8 +309,12 @@ def lyapunov(state, instance, config=None):
     return float(value)
 
 
-def _record(state, instance, i_k, wall):
-    obj = instance.objective(state.x)
+def _record(state, instance, i_k, wall, h_at_x=None):
+    """Trace row for ``state``; ``h_at_x`` is h(state.x) when already known."""
+    if h_at_x is None:
+        obj = instance.objective(state.x)
+    else:
+        obj = h_at_x + instance.g_value(state.x)
     f_res = None if instance.known_optimum is None else obj - instance.known_optimum
     lyap = None
     if instance.known_saddle is not None:
@@ -359,7 +365,7 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
         if observer is not None:
             observer(k, state, accepted, i_k, new_state)
         state = new_state
-        rec = _record(state, instance, i_k, time.perf_counter() - t0)
+        rec = _record(state, instance, i_k, time.perf_counter() - t0, accepted.h_at_x)
         trace.append(rec)
         if _targets_met(rec, config):
             break

@@ -151,6 +151,23 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("bounds", {"bounds": {"fit_window": [5]}}),
+    ("bounds", {"bounds": {"fit_window": "ab"}}),
+    ("solve", {"solver": {"max_iterations": "5"}}),
+    ("flow", {"flow": {"t_end": 1.0, "dt": "small"}}),
+    ("flow", {"flow": {"t_end": "long", "dt": 0.1}}),
+    ("solve", {"variant": "fixed_tolerance", "eps": "tiny"}),
+], ids=["fit_window_short", "fit_window_string", "max_iterations_string",
+        "flow_dt_string", "flow_t_end_string", "eps_string"])
+def test_malformed_sections_exit_2_with_one_error_line(tmp_path, capsys, command,
+                                                       overrides):
+    cfg = write_config(tmp_path / "run.json", qp_config(**overrides))
+    assert main([command, cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_compare_writes_merged_csv(tmp_path):
     cfg = write_config(
         tmp_path / "run.json",

@@ -245,6 +245,22 @@ def test_query_validation_errors():
         geom.composite_prox(CompositeProxQuery(**{**ok, "linear_term": np.zeros(4)}))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+def test_threshold_proxes_reject_non_finite_input(bad):
+    # a linear term of -inf puts +inf into the point being thresholded
+    simplex = EuclideanGeometry(4, domain="simplex", blocks=(2, 2))
+    reals = EuclideanGeometry(4)
+    for geom, nonsmooth in ((simplex, "zero"), (reals, "squared_l1_half")):
+        for linear_term in (np.array([0.5, bad, -1.0, 2.0]), np.full(4, bad)):
+            q = CompositeProxQuery(linear_term=linear_term,
+                                   anchor_y=geom.barycenter(), mu=0.0,
+                                   anchor_v=geom.barycenter(), rho=1.0,
+                                   nonsmooth=nonsmooth)
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="non-finite input"):
+                geom.composite_prox(q)
+
+
 def test_squared_l1_requires_full_space():
     geom = EuclideanGeometry(3, domain="nonneg")
     q = CompositeProxQuery(linear_term=np.zeros(3), anchor_y=np.zeros(3), mu=0.0,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from uapd.geometry import EuclideanGeometry
+from uapd.geometry import EntropyGeometry, EuclideanGeometry
 from uapd.problems import (ProblemInstance, make_basis_pursuit, make_matrix_game,
                            make_regularized_matrix_game, make_steiner,
                            make_synthetic_qp)
@@ -254,13 +254,60 @@ def test_line_search_cap_raises_with_trial_log():
 
 
 def test_non_finite_oracle_raises_solver_error():
-    def nan_oracle(x):
+    def nan_value(x):
         return float("nan"), np.zeros(3)
 
-    instance = ProblemInstance(h_oracle=nan_oracle, g_spec="zero",
-                               geometry=EuclideanGeometry(3), differentiable=True)
-    with pytest.raises(SolverError):
-        solve(instance, SolverConfig(max_iterations=1))
+    def nan_gradient(x):
+        return 0.0, np.array([1.0, float("nan"), 0.0])
+
+    def inf_at_candidate_only():
+        # call 1 is the k = 0 row; then h(y_k) and h(x_{k+1}) alternate.
+        calls = [0]
+
+        def oracle(x):
+            calls[0] += 1
+            at_candidate = calls[0] > 1 and calls[0] % 2 == 1
+            return (float("inf") if at_candidate else 0.0), np.ones(3)
+        return oracle
+
+    setups = [
+        (EuclideanGeometry(3), "zero"),
+        (EuclideanGeometry(3, domain="simplex"), "zero"),
+        (EntropyGeometry(3), "zero"),
+        (EuclideanGeometry(3), "squared_l1_half"),
+    ]
+    for geometry, g_spec in setups:
+        for oracle in (nan_value, nan_gradient, inf_at_candidate_only()):
+            instance = ProblemInstance(h_oracle=oracle, g_spec=g_spec,
+                                       geometry=geometry, differentiable=True)
+            with pytest.raises(SolverError) as err:
+                solve(instance, SolverConfig(max_iterations=1))
+            # raised by the finiteness checks, not by exhausting the line search
+            assert not isinstance(err.value, LineSearchError)
+
+
+@pytest.mark.parametrize("instance", [make_matrix_game(5, 8, seed=5),
+                                      make_basis_pursuit(5, 12, seed=2, sparsity=2)],
+                         ids=["matrix_game", "basis_pursuit"])
+def test_one_oracle_call_per_point(instance):
+    oracle, calls = instance.h_oracle, [0]
+
+    def counted(x):
+        calls[0] += 1
+        return oracle(x)
+    instance.h_oracle = counted
+    state, trace = solve(instance, SolverConfig(max_iterations=40))
+    # the k = 0 row, then h(y_k) and h(x_{k+1}) for every trial
+    assert calls[0] == 1 + 2 * (trace[-1].k + state.line_search_total)
+
+
+def test_trace_objective_is_objective_at_iterate():
+    for instance in small_instances():
+        _, trace, recorder, _ = run(instance, 30)
+        iterates = [recorder.steps[0][1].x] + [s[4].x for s in recorder.steps]
+        assert len(iterates) == len(trace)
+        for record, x in zip(trace, iterates):
+            assert record.objective == instance.objective(x)
 
 
 def test_config_validation():
