@@ -234,7 +234,7 @@ def cmd_flow(cfg, base_dir, out_dir):
             raise ConfigError(f"config is missing the field 'flow.{field}'")
         _number(section[field], f"flow.{field}")
     t_end, dt = float(section["t_end"]), float(section["dt"])
-    gamma0 = _solver_config(cfg).gamma0
+    gamma0 = _solver_config(cfg).resolved(instance).gamma0
     prefix = cfg.get("output", "run")
     trajectory = integrate(instance, t_end=t_end, dt=dt, gamma0=gamma0)
     trajectory_to_csv(trajectory, instance, _out_path(out_dir, prefix, "flow.csv"))

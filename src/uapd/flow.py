@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver import SolverConfig
+
 __all__ = [
     "FlowState",
     "FlowDomainError",
@@ -123,7 +125,8 @@ def integrate(instance, t_end, dt, gamma0=None, beta0=1.0,
 
     Returns a list of (FlowState, Lyapunov value) pairs, one per grid
     point including t = 0.  Domain exit raises FlowDomainError carrying
-    the last valid state.
+    the last valid state.  ``gamma0`` defaults to the solver's
+    (``SolverConfig.resolved``), so both start from the same gamma.
     """
     _check_smooth(instance)
     if instance.known_saddle is None:
@@ -132,8 +135,7 @@ def integrate(instance, t_end, dt, gamma0=None, beta0=1.0,
         raise ValueError("dt and t_end must be positive")
     geom = instance.geometry
     if gamma0 is None:
-        a_norm = instance.metadata.get("a_norm", 0.0)
-        gamma0 = min(1.0, a_norm ** 2) if a_norm > 0 else 1.0
+        gamma0 = SolverConfig().resolved(instance).gamma0
 
     x = geom.barycenter() if x0 is None else np.asarray(x0, dtype=float).copy()
     v = x.copy() if v0 is None else np.asarray(v0, dtype=float).copy()

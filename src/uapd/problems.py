@@ -39,33 +39,20 @@ __all__ = [
 STEINER_ZERO_DIST = 1e-12
 
 
-def operator_norm(A, tol=1e-10, max_iter=100000):
-    """Largest singular value of ``A`` by power iteration on A^T A.
+def operator_norm(A):
+    """Largest singular value of ``A``, exact to rounding.
 
-    Starts from the normalized all-ones vector and stops when the
-    estimate changes by less than ``tol`` relatively.  The zero matrix
-    returns 0.  Deterministic: no randomness involved.
+    The square root of the largest eigenvalue of the smaller Gram
+    matrix (A A^T when A has no more rows than columns, else A^T A),
+    from one symmetric eigensolver call.  Power iteration would need a
+    number of steps that grows without bound as sigma_2 / sigma_1
+    approaches 1.  An empty or all-zero matrix returns 0.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0 or not np.any(A):
         return 0.0
-    n = A.shape[1]
-    u = np.ones(n) / np.sqrt(n)
-    est = 0.0
-    for _ in range(max_iter):
-        z = A.T @ (A @ u)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            # Start vector in the null space; restart deterministically.
-            u = np.zeros(n)
-            u[0] = 1.0
-            continue
-        u = z / nz
-        new_est = float(np.linalg.norm(A @ u))
-        if abs(new_est - est) <= tol * max(new_est, 1e-30):
-            return new_est
-        est = new_est
-    return est
+    gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 @dataclass

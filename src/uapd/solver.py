@@ -17,8 +17,11 @@ candidate x_{k+1}), one composite prox and, for constrained problems,
 one A^T product.  Each accepted iteration adds one A product for the
 dual update, whose residual A v_{k+1} - b is kept in the state for the
 next line search, and one for the recorded feasibility.  The trace's
-objective reuses the accepted h(x_{k+1}).  Inputs are validated at the
-public boundary; inside the loop each trial makes two finiteness checks.
+objective reuses the accepted h(x_{k+1}); on instances with a known
+saddle point the Lyapunov value reuses that objective and the
+feasibility residual, and f(x*) and A x* - b are evaluated once per
+solve.  Inputs are validated at the public boundary; inside the loop
+each trial makes two finiteness checks.
 """
 
 from __future__ import annotations
@@ -181,6 +184,11 @@ TRACE_COLUMNS = ("k", "f_residual", "feasibility", "i_k", "M_k", "alpha_k",
                  "beta_k", "delta_k", "lyapunov", "wall_time_s", "objective")
 
 
+def _residual(instance, x):
+    """A x - b, or None when unconstrained."""
+    return None if instance.A is None else instance.A @ x - instance.b
+
+
 def initial_state(instance, config):
     """Barycenter start with a zero dual vector."""
     x0 = instance.geometry.barycenter()
@@ -188,7 +196,7 @@ def initial_state(instance, config):
         x=x0.copy(),
         v=x0.copy(),
         lam=np.zeros(instance.dual_dimension),
-        residual=instance.A @ x0 - instance.b if instance.constrained else None,
+        residual=_residual(instance, x0),
         beta=config.beta0,
         gamma=config.gamma0,
         M=config.M0,
@@ -273,9 +281,8 @@ def line_search(k, state, instance, config, fixed_eps=None):
 def outer_update(state, accepted, M_accepted, instance, config):
     """Advance the state with an accepted step."""
     alpha = accepted.alpha
-    lam, residual = state.lam, None
-    if instance.constrained:
-        residual = instance.A @ accepted.v - instance.b
+    lam, residual = state.lam, _residual(instance, accepted.v)
+    if residual is not None:
         lam = state.lam + (alpha / state.beta) * residual
     return SolverState(
         x=accepted.x,
@@ -292,7 +299,28 @@ def outer_update(state, accepted, M_accepted, instance, config):
     )
 
 
-def lyapunov(state, instance, config=None):
+def _saddle_terms(instance):
+    """objective(x*) and A x* - b, which every Lyapunov value of a solve shares."""
+    x_star = instance.known_saddle[0]
+    return instance.objective(x_star), _residual(instance, x_star)
+
+
+def _lyapunov(state, instance, objective, residual, saddle_terms):
+    """Lyapunov value from objective(x_k), A x_k - b and ``_saddle_terms``."""
+    x_star, lam_star = instance.known_saddle
+    objective_star, residual_star = saddle_terms
+    if residual is not None:  # the Lagrangians L(x_k, lam*) and L(x*, lam_k)
+        objective += float(lam_star @ residual)
+        objective_star += float(state.lam @ residual_star)
+    value = objective - objective_star + state.gamma * instance.geometry.divergence(
+        x_star, state.v)
+    if np.size(lam_star):
+        dl = state.lam - lam_star
+        value += 0.5 * state.beta * float(dl @ dl)
+    return float(value)
+
+
+def lyapunov(state, instance):
     """Energy of the current state relative to a known saddle point.
 
     L(x_k, lam*) - L(x*, lam_k) + gamma_k D(x*, v_k)
@@ -300,30 +328,30 @@ def lyapunov(state, instance, config=None):
     """
     if instance.known_saddle is None:
         raise ValueError("lyapunov requires an instance with a known saddle point")
-    x_star, lam_star = instance.known_saddle
-    gap = instance.lagrangian(state.x, lam_star) - instance.lagrangian(x_star, state.lam)
-    value = gap + state.gamma * instance.geometry.divergence(x_star, state.v)
-    if np.size(lam_star):
-        dl = state.lam - lam_star
-        value += 0.5 * state.beta * float(dl @ dl)
-    return float(value)
+    return _lyapunov(state, instance, instance.objective(state.x),
+                     _residual(instance, state.x), _saddle_terms(instance))
 
 
-def _record(state, instance, i_k, wall, h_at_x=None):
-    """Trace row for ``state``; ``h_at_x`` is h(state.x) when already known."""
+def _record(state, instance, i_k, wall, h_at_x=None, saddle_terms=None):
+    """Trace row for ``state``; ``h_at_x`` is h(state.x) when already known.
+
+    ``saddle_terms`` is ``_saddle_terms(instance)`` when the instance has
+    a known saddle point; one A x_k - b serves feasibility and Lyapunov.
+    """
     if h_at_x is None:
         obj = instance.objective(state.x)
     else:
         obj = h_at_x + instance.g_value(state.x)
     f_res = None if instance.known_optimum is None else obj - instance.known_optimum
+    residual = _residual(instance, state.x)
     lyap = None
-    if instance.known_saddle is not None:
-        lyap = lyapunov(state, instance)
+    if saddle_terms is not None:
+        lyap = _lyapunov(state, instance, obj, residual, saddle_terms)
     return IterationRecord(
         k=state.k,
         objective=obj,
         f_residual=f_res,
-        feasibility=instance.feasibility(state.x),
+        feasibility=0.0 if residual is None else float(np.linalg.norm(residual)),
         i_k=i_k,
         M_k=state.M,
         alpha_k=state.alpha,
@@ -356,8 +384,9 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     """
     config = (config or SolverConfig()).resolved(instance)
     state = initial_state(instance, config)
+    saddle_terms = None if instance.known_saddle is None else _saddle_terms(instance)
     t0 = time.perf_counter()
-    trace = [_record(state, instance, 0, 0.0)]
+    trace = [_record(state, instance, 0, 0.0, saddle_terms=saddle_terms)]
     for k in range(config.max_iterations):
         accepted, i_k, M_acc = line_search(k, state, instance, config, fixed_eps=fixed_eps)
         new_state = outer_update(state, accepted, M_acc, instance, config)
@@ -365,7 +394,8 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
         if observer is not None:
             observer(k, state, accepted, i_k, new_state)
         state = new_state
-        rec = _record(state, instance, i_k, time.perf_counter() - t0, accepted.h_at_x)
+        rec = _record(state, instance, i_k, time.perf_counter() - t0, accepted.h_at_x,
+                      saddle_terms)
         trace.append(rec)
         if _targets_met(rec, config):
             break

@@ -9,6 +9,7 @@ import pytest
 from uapd import flow, problems
 from uapd.geometry import EntropyGeometry
 from uapd.problems import ProblemInstance
+from uapd.solver import SolverConfig
 from helpers import euler_flow
 
 
@@ -134,6 +135,17 @@ def test_integrate_argument_validation():
         differentiable=True)
     with pytest.raises(ValueError):
         flow.integrate(anon, t_end=1.0, dt=0.1)
+
+
+def test_default_gamma0_matches_the_solver_without_a_norm_metadata():
+    qp = problems.make_synthetic_qp(7, 3, mu=0.25, seed=17, a_norm=0.5)
+    del qp.metadata["a_norm"]
+    gamma0 = SolverConfig().resolved(qp).gamma0
+    assert gamma0 == pytest.approx(0.25, rel=1e-12)  # min(1, 0.5^2)
+    default = flow.integrate(qp, t_end=0.05, dt=0.01)
+    explicit = flow.integrate(qp, t_end=0.05, dt=0.01, gamma0=gamma0)
+    assert [e for _, e in default] == [e for _, e in explicit]
+    assert np.array_equal(default[-1][0].w, explicit[-1][0].w)
 
 
 def test_trajectory_grid_and_initial_conditions():

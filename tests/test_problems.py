@@ -24,6 +24,45 @@ def test_operator_norm_matches_svd():
         assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-8)
 
 
+def _with_singular_values(rng, m, n, sigma):
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = np.zeros((m, n))
+    S[np.arange(len(sigma)), np.arange(len(sigma))] = sigma
+    return U @ S @ V.T
+
+
+def _operator_norm_cases():
+    rng = np.random.default_rng(1)
+    rows_sum_to_zero = rng.standard_normal((6, 9))
+    rows_sum_to_zero -= rows_sum_to_zero.mean(axis=1, keepdims=True)
+    return {
+        "tall": rng.standard_normal((40, 7)),
+        "wide": rng.standard_normal((7, 40)),
+        "square": rng.standard_normal((12, 12)),
+        "rank_deficient": rng.standard_normal((10, 3)) @ rng.standard_normal((3, 15)),
+        # A 1 = 0: an all-ones start vector lies in the null space
+        "rows_orthogonal_to_ones": rows_sum_to_zero,
+        # sigma_2 = (1 - 1e-5) sigma_1: iterative estimates converge slowly
+        "near_degenerate": _with_singular_values(rng, 8, 11,
+                                                 [3.0, 3.0 * (1.0 - 1e-5), 1.0, 0.5]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_operator_norm_cases()))
+def test_operator_norm_is_exact_largest_singular_value(name):
+    A = _operator_norm_cases()[name]
+    want = np.linalg.svd(A, compute_uv=False)[0]
+    assert abs(operator_norm(A) - want) <= 1e-12 * want
+
+
+def test_a_norm_survives_json_round_trip_bit_for_bit():
+    for inst in (make_basis_pursuit(5, 12, seed=21, sparsity=2),
+                 make_synthetic_qp(7, 3, mu=0.3, seed=22, a_norm=0.5)):
+        clone = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+        assert clone.metadata["a_norm"] == inst.metadata["a_norm"]
+
+
 def test_operator_norm_zero_matrix():
     assert operator_norm(np.zeros((4, 3))) == 0.0
 

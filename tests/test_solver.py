@@ -287,8 +287,9 @@ def test_non_finite_oracle_raises_solver_error():
 
 
 @pytest.mark.parametrize("instance", [make_matrix_game(5, 8, seed=5),
-                                      make_basis_pursuit(5, 12, seed=2, sparsity=2)],
-                         ids=["matrix_game", "basis_pursuit"])
+                                      make_basis_pursuit(5, 12, seed=2, sparsity=2),
+                                      make_synthetic_qp(7, 3, mu=0.0, seed=3)],
+                         ids=["matrix_game", "basis_pursuit", "synthetic_qp"])
 def test_one_oracle_call_per_point(instance):
     oracle, calls = instance.h_oracle, [0]
 
@@ -297,8 +298,25 @@ def test_one_oracle_call_per_point(instance):
         return oracle(x)
     instance.h_oracle = counted
     state, trace = solve(instance, SolverConfig(max_iterations=40))
-    # the k = 0 row, then h(y_k) and h(x_{k+1}) for every trial
-    assert calls[0] == 1 + 2 * (trace[-1].k + state.line_search_total)
+    # the k = 0 row (and f(x*) once when the saddle point is known),
+    # then h(y_k) and h(x_{k+1}) for every trial
+    once = 2 if instance.known_saddle is not None else 1
+    assert calls[0] == once + 2 * (trace[-1].k + state.line_search_total)
+
+
+def test_trace_lyapunov_is_lyapunov_of_state():
+    instance = make_synthetic_qp(7, 3, mu=0.0, seed=3)
+    x_star, lam_star = instance.known_saddle
+    _, trace, recorder, _ = run(instance, 60)
+    states = [recorder.steps[0][1]] + [s[4] for s in recorder.steps]
+    assert len(states) == len(trace)
+    for record, state in zip(trace, states):
+        assert record.lyapunov == lyapunov(state, instance)
+        # the defining formula, in the same order of operations
+        dl = state.lam - lam_star
+        want = (instance.lagrangian(state.x, lam_star) - instance.lagrangian(x_star, state.lam)
+                + state.gamma * instance.geometry.divergence(x_star, state.v))
+        assert record.lyapunov == want + 0.5 * state.beta * float(dl @ dl)
 
 
 def test_trace_objective_is_objective_at_iterate():
