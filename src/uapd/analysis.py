@@ -25,13 +25,11 @@ __all__ = [
     "holder_constant",
     "mk_bound",
     "line_search_total_bound",
-    "line_search_total_bound_expanded",
     "envelope",
     "decay_spec_for_solver",
     "beta_rate_bound",
     "rate_bound_preconditions",
     "fit_rate",
-    "interpolate_beta",
 ]
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -61,23 +59,6 @@ def line_search_total_bound(nu, M_nu, M0, k, delta_k1):
     """A posteriori bound on Sum_{j<=k} i_j given the realized delta_{k+1}."""
     ratio = holder_constant(nu, delta_k1, M_nu) / (M0 / TWO_SQRT2)
     return k + 1 + max(1.0, math.log2(ratio))
-
-
-def line_search_total_bound_expanded(nu, M_nu, M0, k, beta_k1):
-    """Same bound with the log ratio expanded in (k, beta_{k+1}).
-
-    Equivalent to ``line_search_total_bound`` with
-    delta_{k+1} = beta_{k+1} / (k+1); passing a target accuracy eps in
-    place of beta_{k+1} gives the a priori variant.
-    """
-    if beta_k1 <= 0:
-        raise ValueError("beta_k1 must be positive")
-    log_ratio = (
-        (2.0 / (1.0 + nu)) * math.log2(M_nu)
-        + math.log2(TWO_SQRT2 / M0)
-        + ((1.0 - nu) / (1.0 + nu)) * (math.log2(k + 1) + abs(math.log2(beta_k1)))
-    )
-    return k + 1 + max(1.0, log_ratio)
 
 
 @dataclass
@@ -224,15 +205,3 @@ def fit_rate(trace, column, k_min, k_max):
     slope, _ = np.polyfit(np.log(np.asarray(ks, dtype=float)), np.log(vals), 1)
     return float(slope)
 
-
-def interpolate_beta(betas, t):
-    """Piecewise-linear interpolation y(t) = beta_k (k+1-t) + beta_{k+1} (t-k)."""
-    betas = np.asarray(betas, dtype=float)
-    if betas.ndim != 1 or betas.size < 1:
-        raise ValueError("betas must be a nonempty vector")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    k = int(math.floor(t))
-    if k >= betas.size - 1:
-        return float(betas[-1])
-    return float(betas[k] * (k + 1 - t) + betas[k + 1] * (t - k))

@@ -31,13 +31,11 @@ import time
 from .analysis import (decay_spec_for_solver, envelope, fit_rate,
                        rate_bound_preconditions)
 from .flow import integrate, trajectory_to_csv
-from .problems import InstanceRecipe, instance_from_dict
+from .problems import load_instance
 from .solver import (SolverConfig, SolverError, _fmt, solve, solve_fixed_tolerance,
                      trace_to_csv)
 
 __all__ = ["main", "ConfigError", "cmd_solve", "cmd_compare", "cmd_flow", "cmd_bounds"]
-
-_MATRIX_KEYS = ("P", "A", "H", "anchors")
 
 
 class ConfigError(Exception):
@@ -71,17 +69,11 @@ def _number(value, name, integer=False):
 
 def _resolve_instance(spec, base_dir):
     if isinstance(spec, str):
-        path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
-        if not os.path.exists(path):
-            raise ConfigError(f"instance file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = _load_json(os.path.join(base_dir, spec))
     if not isinstance(spec, dict):
         raise ConfigError("'instance' must be a dict or a path string")
     try:
-        if any(key in spec for key in _MATRIX_KEYS):
-            return instance_from_dict(spec)
-        return InstanceRecipe.from_dict(spec).generate()
+        return load_instance(spec)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad instance description: {exc}") from exc
 

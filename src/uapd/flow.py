@@ -7,7 +7,7 @@ point x, the mirror variable w = grad phi(v), and the multiplier lam:
     w'   = [mu (grad phi(x) - w) - grad f(x) - A^T lam] / gamma(t)
     lam' = (A grad_conj(w) - b) / beta(t)
 
-with gamma(t) = mu + (gamma0 - mu) e^{-t} and beta(t) = beta0 e^{-t}
+with gamma(t) = mu + (gamma0 - mu) e^{-t} and beta(t) = e^{-t}
 evaluated analytically.  Integrating in w rather than v avoids
 differentiating grad phi(v) along the trajectory.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import SolverConfig
+from .solver import SolverConfig, _lyapunov, _residual, _saddle_terms
 
 __all__ = [
     "FlowState",
@@ -57,8 +57,8 @@ def gamma_of(t, mu, gamma0):
     return mu + (gamma0 - mu) * math.exp(-t)
 
 
-def beta_of(t, beta0):
-    return beta0 * math.exp(-t)
+def beta_of(t):
+    return math.exp(-t)
 
 
 def _check_smooth(instance):
@@ -76,7 +76,7 @@ def _interior(geometry, x):
     return True
 
 
-def _rhs(t, x, w, lam, instance, gamma0, beta0, last_state):
+def _rhs(t, x, w, lam, instance, gamma0, last_state):
     geom = instance.geometry
     if not _interior(geom, x):
         raise FlowDomainError(
@@ -89,7 +89,7 @@ def _rhs(t, x, w, lam, instance, gamma0, beta0, last_state):
         force = force + mu * (geom.grad(x) - w)
     if instance.constrained:
         force = force - instance.A.T @ lam
-        dlam = (instance.A @ v - instance.b) / beta_of(t, beta0)
+        dlam = (instance.A @ v - instance.b) / beta_of(t)
     else:
         dlam = np.zeros(0)
     dx = v - x
@@ -97,30 +97,28 @@ def _rhs(t, x, w, lam, instance, gamma0, beta0, last_state):
     return dx, dw, dlam
 
 
-def flow_rhs(state, instance, gamma0, beta0=1.0):
+def flow_rhs(state, instance, gamma0):
     """Time derivative of (x, w, lam) at the given state."""
     _check_smooth(instance)
-    return _rhs(state.t, state.x, state.w, state.lam, instance,
-                gamma0, beta0, state)
+    return _rhs(state.t, state.x, state.w, state.lam, instance, gamma0, state)
 
 
-def flow_lyapunov(state, instance, gamma0, beta0=1.0):
-    """E = L(x, lam*) - L(x*, lam) + gamma(t) D(x*, v) + beta(t)/2 |lam - lam*|^2."""
+def flow_lyapunov(state, instance, gamma0, saddle_terms=None):
+    """The solver's Lyapunov formula at (x, lam, grad_conj(w), gamma(t), beta(t)).
+
+    ``saddle_terms`` is ``solver._saddle_terms(instance)``, evaluated when not given.
+    """
     if instance.known_saddle is None:
         raise ValueError("flow Lyapunov evaluation needs instance.known_saddle")
-    x_star, lam_star = instance.known_saddle
-    geom = instance.geometry
-    v = geom.grad_conj(state.w)
-    value = instance.lagrangian(state.x, lam_star) - instance.lagrangian(x_star, state.lam)
-    value += gamma_of(state.t, instance.mu, gamma0) * geom.divergence(x_star, v)
-    if state.lam.size:
-        value += 0.5 * beta_of(state.t, beta0) * float(
-            np.dot(state.lam - lam_star, state.lam - lam_star))
-    return value
+    if saddle_terms is None:
+        saddle_terms = _saddle_terms(instance)
+    return _lyapunov(instance, state.lam, instance.geometry.grad_conj(state.w),
+                     gamma_of(state.t, instance.mu, gamma0), beta_of(state.t),
+                     instance.objective(state.x), _residual(instance, state.x),
+                     saddle_terms)
 
 
-def integrate(instance, t_end, dt, gamma0=None, beta0=1.0,
-              x0=None, v0=None, lambda0=None):
+def integrate(instance, t_end, dt, gamma0=None, x0=None, v0=None, lambda0=None):
     """Fixed-step classical Runge-Kutta trajectory of the flow.
 
     Returns a list of (FlowState, Lyapunov value) pairs, one per grid
@@ -147,17 +145,18 @@ def integrate(instance, t_end, dt, gamma0=None, beta0=1.0,
     if n_steps < 1:
         raise ValueError("t_end must cover at least one step")
 
+    saddle_terms = _saddle_terms(instance)
     state = FlowState(x=x, w=w, lam=lam, t=0.0)
-    trajectory = [(state, flow_lyapunov(state, instance, gamma0, beta0))]
+    trajectory = [(state, flow_lyapunov(state, instance, gamma0, saddle_terms))]
     for step in range(n_steps):
         t = step * dt
-        k1 = _rhs(t, x, w, lam, instance, gamma0, beta0, state)
+        k1 = _rhs(t, x, w, lam, instance, gamma0, state)
         k2 = _rhs(t + 0.5 * dt, x + 0.5 * dt * k1[0], w + 0.5 * dt * k1[1],
-                  lam + 0.5 * dt * k1[2], instance, gamma0, beta0, state)
+                  lam + 0.5 * dt * k1[2], instance, gamma0, state)
         k3 = _rhs(t + 0.5 * dt, x + 0.5 * dt * k2[0], w + 0.5 * dt * k2[1],
-                  lam + 0.5 * dt * k2[2], instance, gamma0, beta0, state)
+                  lam + 0.5 * dt * k2[2], instance, gamma0, state)
         k4 = _rhs(t + dt, x + dt * k3[0], w + dt * k3[1], lam + dt * k3[2],
-                  instance, gamma0, beta0, state)
+                  instance, gamma0, state)
         x = x + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         w = w + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         lam = lam + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
@@ -170,7 +169,7 @@ def integrate(instance, t_end, dt, gamma0=None, beta0=1.0,
             raise FlowDomainError(
                 f"non-finite state at t = {t_new:.6g}", state)
         state = FlowState(x=x.copy(), w=w.copy(), lam=lam.copy(), t=t_new)
-        trajectory.append((state, flow_lyapunov(state, instance, gamma0, beta0)))
+        trajectory.append((state, flow_lyapunov(state, instance, gamma0, saddle_terms)))
     return trajectory
 
 

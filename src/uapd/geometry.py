@@ -148,9 +148,6 @@ class BregmanGeometry:
             raise ValueError(f"dimension must be positive, got {dimension}")
         self.dimension = dimension
 
-    def value(self, x):
-        raise NotImplementedError
-
     def grad(self, x):
         raise NotImplementedError
 
@@ -209,22 +206,22 @@ class EuclideanGeometry(BregmanGeometry):
                 raise ValueError("blocks are only meaningful for the simplex domain")
             self.blocks = None
 
-    def value(self, x):
-        x = _check_vector(x, self.dimension, "x")
-        return 0.5 * float(x @ x)
-
     def grad(self, x):
         return _check_vector(x, self.dimension, "x").copy()
 
     def grad_conj(self, w):
         w = _check_vector(w, self.dimension, "w")
+        return w.copy() if self.domain == "reals" else self._project(w)
+
+    def _project(self, z):
+        """Euclidean projection of ``z`` onto the domain; ``z`` itself on R^n."""
         if self.domain == "reals":
-            return w.copy()
+            return z
         if self.domain == "nonneg":
-            return np.maximum(w, 0.0)
-        out = np.empty_like(w)
+            return np.maximum(z, 0.0)
+        out = np.empty_like(z)
         for sl in _block_slices(self.blocks):
-            out[sl] = _project_simplex(w[sl])
+            out[sl] = _project_simplex(z[sl])
         return out
 
     def divergence(self, x, y):
@@ -264,14 +261,7 @@ class EuclideanGeometry(BregmanGeometry):
                 raise ValueError("squared_l1_half prox requires the full-space domain")
             # Rescale so the subproblem is 0.5||v - z||^2 + (w/2)||v||_1^2.
             return _prox_squared_l1(z, 1.0 / s)
-        if self.domain == "reals":
-            return z
-        if self.domain == "nonneg":
-            return np.maximum(z, 0.0)
-        out = np.empty_like(z)
-        for sl in _block_slices(self.blocks):
-            out[sl] = _project_simplex(z[sl])
-        return out
+        return self._project(z)
 
     def to_dict(self):
         d = {"kind": self.kind, "dimension": self.dimension, "domain": self.domain}
@@ -300,11 +290,6 @@ class EntropyGeometry(BregmanGeometry):
     def _check_nonneg(self, x, name):
         if np.any(x < 0):
             raise ValueError(f"{name} has negative entries; outside the entropy domain")
-
-    def value(self, x):
-        x = _check_vector(x, self.dimension, "x")
-        self._check_nonneg(x, "x")
-        return float(_xlogx(x).sum())
 
     def grad(self, x):
         x = _check_vector(x, self.dimension, "x")

@@ -10,16 +10,13 @@ replay bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    BregmanGeometry,
-    EntropyGeometry,
-    EuclideanGeometry,
-    geometry_from_dict,
-)
+from .geometry import BregmanGeometry, EntropyGeometry, EuclideanGeometry
 
 __all__ = [
     "ProblemInstance",
@@ -32,6 +29,7 @@ __all__ = [
     "make_synthetic_qp",
     "instance_to_dict",
     "instance_from_dict",
+    "load_instance",
 ]
 
 # Distance below which a summand of the sum-of-norms objective is
@@ -46,13 +44,18 @@ def operator_norm(A):
     matrix (A A^T when A has no more rows than columns, else A^T A),
     from one symmetric eigensolver call.  Power iteration would need a
     number of steps that grows without bound as sigma_2 / sigma_1
-    approaches 1.  An empty or all-zero matrix returns 0.
+    approaches 1.  ``A`` is first scaled by the power of two 2^-e with
+    2^(e-1) <= max|A_ij| < 2^e, which is exact, so the Gram matrix
+    neither underflows nor overflows; the root is scaled back by 2^e.
+    An empty or all-zero matrix returns 0.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0 or not np.any(A):
         return 0.0
+    e = math.frexp(float(np.abs(A).max()))[1]
+    A = np.ldexp(A, -e)
     gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    return math.ldexp(float(np.sqrt(np.linalg.eigvalsh(gram)[-1])), e)
 
 
 @dataclass
@@ -137,22 +140,11 @@ class InstanceRecipe:
     eig_spread: float = 9.0
 
     def generate(self):
-        if self.kind == "matrix_game":
-            return make_matrix_game(self.m, self.n, self.seed, geometry=self.geometry)
-        if self.kind == "regularized_matrix_game":
-            if self.eps is None:
-                raise ValueError("regularized_matrix_game requires eps")
-            return make_regularized_matrix_game(self.m, self.n, self.seed, self.eps)
-        if self.kind == "steiner":
-            return make_steiner(self.m, self.n, self.seed)
-        if self.kind == "basis_pursuit":
-            if self.sparsity is None:
-                raise ValueError("basis_pursuit requires sparsity")
-            return make_basis_pursuit(self.m, self.n, self.seed, self.sparsity)
-        if self.kind == "synthetic_qp":
-            return make_synthetic_qp(self.n, self.m, self.mu, self.seed,
-                                     a_norm=self.a_norm, eig_spread=self.eig_spread)
-        raise ValueError(f"unknown instance kind {self.kind!r}")
+        row = _kind(self.kind)
+        for name in row.required:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} requires {name}")
+        return row.generate(self)
 
     def to_dict(self):
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -161,8 +153,7 @@ class InstanceRecipe:
     def from_dict(cls, d):
         if "kind" not in d:
             raise ValueError("recipe is missing the field 'kind'")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown recipe fields {sorted(unknown)}")
         return cls(**d)
@@ -334,7 +325,7 @@ def _zero_oracle(n):
     return oracle
 
 
-def _assemble_basis_pursuit(A, b, x_true, seed):
+def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
@@ -353,6 +344,7 @@ def _assemble_basis_pursuit(A, b, x_true, seed):
             "seed": seed,
             "a_norm": operator_norm(A),
             "x_true": None if x_true is None else np.asarray(x_true, dtype=float),
+            "sparsity": sparsity,
         },
     )
 
@@ -369,9 +361,7 @@ def make_basis_pursuit(m, n, seed, sparsity):
     x_true = np.zeros(n)
     x_true[support] = rng.standard_normal(sparsity)
     b = A @ x_true
-    inst = _assemble_basis_pursuit(A, b, x_true, seed)
-    inst.metadata["sparsity"] = sparsity
-    return inst
+    return _assemble_basis_pursuit(A, b, x_true, seed, sparsity)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +386,7 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
     xs = np.asarray(xs, dtype=float)
     ls = np.asarray(ls, dtype=float)
     eigs = np.linalg.eigvalsh(H)
-    inst = ProblemInstance(
+    return ProblemInstance(
         h_oracle=_qp_oracle(H, c),
         g_spec="zero",
         geometry=EuclideanGeometry(n, domain="reals"),
@@ -419,7 +409,6 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
             "c": c,
         },
     )
-    return inst
 
 
 def make_synthetic_qp(n, m, mu, seed, a_norm=None, eig_spread=9.0):
@@ -462,71 +451,89 @@ def make_synthetic_qp(n, m, mu, seed, a_norm=None, eig_spread=9.0):
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip.  Matrices are stored as nested lists (row-major);
-# loading rebuilds the oracles from the stored data, not from the seed.
+# One row per instance kind.  A JSON document stores kind/m/n/seed/mu/
+# geometry and the row's stored fields (matrices as row-major nested
+# lists); loading rebuilds the oracles from them, not from the seed.
+# The lambdas look the builders up as module globals at call time, so
+# wrapping make_* from outside (as bench/tracer.py does) takes effect.
 
 
-def _arr(x):
-    return None if x is None else np.asarray(x, dtype=float).tolist()
+class _Kind(NamedTuple):
+    generate: object  # recipe -> instance
+    required: tuple  # recipe fields that have no default
+    load: object  # document, stored lists as arrays -> instance
+    stored: tuple  # document fields: constraint data, saddle point or metadata
+
+
+_KINDS = {
+    "matrix_game": _Kind(
+        lambda r: make_matrix_game(r.m, r.n, r.seed, geometry=r.geometry), (),
+        lambda d: _assemble_matrix_game(d["P"], d.get("seed"),
+                                        d.get("geometry", {}).get("kind", "entropy")),
+        ("P",)),
+    "regularized_matrix_game": _Kind(
+        lambda r: make_regularized_matrix_game(r.m, r.n, r.seed, r.eps), ("eps",),
+        lambda d: _assemble_regularized_game(d["P"], d["eps"], d.get("seed")),
+        ("P", "eps")),
+    "steiner": _Kind(
+        lambda r: make_steiner(r.m, r.n, r.seed), (),
+        lambda d: _assemble_steiner(d["anchors"], d.get("seed")),
+        ("anchors",)),
+    "basis_pursuit": _Kind(
+        lambda r: make_basis_pursuit(r.m, r.n, r.seed, r.sparsity), ("sparsity",),
+        lambda d: _assemble_basis_pursuit(d["A"], d["b"], d["x_true"], d.get("seed"),
+                                          d["sparsity"]),
+        ("A", "b", "x_true", "sparsity")),
+    "synthetic_qp": _Kind(
+        lambda r: make_synthetic_qp(r.n, r.m, r.mu, r.seed, a_norm=r.a_norm,
+                                    eig_spread=r.eig_spread), (),
+        lambda d: _assemble_synthetic_qp(d["H"], d["c"], d["A"], d["b"],
+                                         (d["x_star"], d["lam_star"]),
+                                         d.get("mu", 0.0), d.get("seed")),
+        ("H", "c", "A", "b", "x_star", "lam_star")),
+}
+
+
+def _kind(kind):
+    """The table row of ``kind``, or ValueError naming the unknown kind."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    return _KINDS[kind]
 
 
 def instance_to_dict(instance):
     meta = instance.metadata
-    kind = meta.get("kind")
-    if kind is None:
-        raise ValueError("instance has no 'kind' metadata; cannot serialize")
-    d = {
-        "kind": kind,
-        "m": meta.get("m"),
-        "n": meta.get("n"),
-        "seed": meta.get("seed"),
-        "mu": instance.mu,
-        "geometry": instance.geometry.to_dict(),
-    }
-    if kind == "matrix_game":
-        d["P"] = _arr(meta["P"])
-    elif kind == "regularized_matrix_game":
-        d["P"] = _arr(meta["P"])
-        d["eps"] = meta["eps"]
-    elif kind == "steiner":
-        d["anchors"] = _arr(meta["anchors"])
-    elif kind == "basis_pursuit":
-        d["A"] = _arr(instance.A)
-        d["b"] = _arr(instance.b)
-        d["x_true"] = _arr(meta.get("x_true"))
-        d["sparsity"] = meta.get("sparsity")
-    elif kind == "synthetic_qp":
-        d["H"] = _arr(meta["H"])
-        d["c"] = _arr(meta["c"])
-        d["A"] = _arr(instance.A)
-        d["b"] = _arr(instance.b)
-        d["x_star"] = _arr(instance.known_saddle[0])
-        d["lam_star"] = _arr(instance.known_saddle[1])
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
+    d = {"kind": meta.get("kind"), "m": meta.get("m"), "n": meta.get("n"),
+         "seed": meta.get("seed"), "mu": instance.mu,
+         "geometry": instance.geometry.to_dict()}
+    for name in _kind(d["kind"]).stored:
+        if name in ("A", "b"):
+            value = getattr(instance, name)
+        elif name in ("x_star", "lam_star"):
+            value = instance.known_saddle[name == "lam_star"]
+        else:
+            value = meta[name]
+        d[name] = value.tolist() if isinstance(value, np.ndarray) else value
     return d
 
 
 def instance_from_dict(d):
-    kind = d.get("kind")
-    if kind is None:
-        raise ValueError("instance document is missing the field 'kind'")
-    seed = d.get("seed")
-    if kind == "matrix_game":
-        geometry_kind = d.get("geometry", {}).get("kind", "entropy")
-        return _assemble_matrix_game(np.array(d["P"]), seed, geometry_kind)
-    if kind == "regularized_matrix_game":
-        return _assemble_regularized_game(np.array(d["P"]), d["eps"], seed)
-    if kind == "steiner":
-        return _assemble_steiner(np.array(d["anchors"]), seed)
-    if kind == "basis_pursuit":
-        x_true = d.get("x_true")
-        inst = _assemble_basis_pursuit(np.array(d["A"]), np.array(d["b"]),
-                                       None if x_true is None else np.array(x_true), seed)
-        inst.metadata["sparsity"] = d.get("sparsity")
-        return inst
-    if kind == "synthetic_qp":
-        return _assemble_synthetic_qp(
-            np.array(d["H"]), np.array(d["c"]), np.array(d["A"]), np.array(d["b"]),
-            (np.array(d["x_star"]), np.array(d["lam_star"])), d.get("mu", 0.0), seed)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    row = _kind(d.get("kind"))
+    doc = dict(d)
+    for name in row.stored:
+        if name not in d:
+            raise ValueError(f"instance document is missing the field '{name}'")
+        if isinstance(d[name], list):
+            doc[name] = np.asarray(d[name], dtype=float)
+    return row.load(doc)
+
+
+def load_instance(spec):
+    """Instance from a recipe or from a document of ``instance_to_dict``.
+
+    A spec is a document when it carries its kind's first stored field
+    (``P``, ``anchors``, ``A`` or ``H``), and a recipe otherwise.
+    """
+    if _kind(spec.get("kind")).stored[0] in spec:
+        return instance_from_dict(spec)
+    return InstanceRecipe.from_dict(spec).generate()

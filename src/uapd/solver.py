@@ -77,13 +77,11 @@ class SolverConfig:
 
     gamma0 defaults to min(1, ||A||^2) for constrained problems and 1
     otherwise.  mu and A_norm are taken from the instance when unset.
-    beta0 is fixed at 1 by the method's averaging scheme.
     """
 
     gamma0: float | None = None
     M0: float = 1.0
     mu: float | None = None
-    beta0: float = 1.0
     A_norm: float | None = None
     delta_scale: float = 1.0
     max_iterations: int = 1000
@@ -94,8 +92,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.M0 <= 0:
             raise ValueError("M0 must be positive")
-        if self.beta0 != 1.0:
-            raise ValueError("beta0 is fixed at 1")
         if self.delta_scale <= 0:
             raise ValueError("delta_scale must be positive")
         if self.gamma0 is not None and self.gamma0 <= 0:
@@ -197,7 +193,7 @@ def initial_state(instance, config):
         v=x0.copy(),
         lam=np.zeros(instance.dual_dimension),
         residual=_residual(instance, x0),
-        beta=config.beta0,
+        beta=1.0,
         gamma=config.gamma0,
         M=config.M0,
         alpha=0.0,
@@ -242,7 +238,7 @@ def inner_step(k, state, M_trial, instance, config, fixed_eps=None):
         mu=config.mu,
         anchor_v=state.v,
         rho=gamma / alpha,
-        nonsmooth="squared_l1_half" if instance.g_spec == "squared_l1_half" else "zero",
+        nonsmooth=instance.g_spec,
     )
     v_new = instance.geometry.composite_prox(query)
 
@@ -305,31 +301,31 @@ def _saddle_terms(instance):
     return instance.objective(x_star), _residual(instance, x_star)
 
 
-def _lyapunov(state, instance, objective, residual, saddle_terms):
-    """Lyapunov value from objective(x_k), A x_k - b and ``_saddle_terms``."""
+def _lyapunov(instance, lam, v, gamma, beta, objective, residual, saddle_terms):
+    """L(x, lam*) - L(x*, lam) + gamma D(x*, v) + (beta / 2) ||lam - lam*||^2.
+
+    ``objective`` and ``residual`` are objective(x) and A x - b, and
+    ``saddle_terms`` is ``_saddle_terms(instance)``.
+    """
     x_star, lam_star = instance.known_saddle
     objective_star, residual_star = saddle_terms
-    if residual is not None:  # the Lagrangians L(x_k, lam*) and L(x*, lam_k)
+    if residual is not None:  # the Lagrangians L(x, lam*) and L(x*, lam)
         objective += float(lam_star @ residual)
-        objective_star += float(state.lam @ residual_star)
-    value = objective - objective_star + state.gamma * instance.geometry.divergence(
-        x_star, state.v)
+        objective_star += float(lam @ residual_star)
+    value = objective - objective_star + gamma * instance.geometry.divergence(x_star, v)
     if np.size(lam_star):
-        dl = state.lam - lam_star
-        value += 0.5 * state.beta * float(dl @ dl)
+        dl = lam - lam_star
+        value += 0.5 * beta * float(dl @ dl)
     return float(value)
 
 
 def lyapunov(state, instance):
-    """Energy of the current state relative to a known saddle point.
-
-    L(x_k, lam*) - L(x*, lam_k) + gamma_k D(x*, v_k)
-    + (beta_k / 2) ||lam_k - lam*||^2.
-    """
+    """Lyapunov value of (x_k, v_k, lam_k, gamma_k, beta_k); see ``_lyapunov``."""
     if instance.known_saddle is None:
         raise ValueError("lyapunov requires an instance with a known saddle point")
-    return _lyapunov(state, instance, instance.objective(state.x),
-                     _residual(instance, state.x), _saddle_terms(instance))
+    return _lyapunov(instance, state.lam, state.v, state.gamma, state.beta,
+                     instance.objective(state.x), _residual(instance, state.x),
+                     _saddle_terms(instance))
 
 
 def _record(state, instance, i_k, wall, h_at_x=None, saddle_terms=None):
@@ -346,7 +342,8 @@ def _record(state, instance, i_k, wall, h_at_x=None, saddle_terms=None):
     residual = _residual(instance, state.x)
     lyap = None
     if saddle_terms is not None:
-        lyap = _lyapunov(state, instance, obj, residual, saddle_terms)
+        lyap = _lyapunov(instance, state.lam, state.v, state.gamma, state.beta, obj,
+                         residual, saddle_terms)
     return IterationRecord(
         k=state.k,
         objective=obj,

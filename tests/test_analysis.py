@@ -58,29 +58,18 @@ def test_mk_bound_takes_the_larger_branch():
         analysis.mk_bound(1.0, 1.0, 0.0, 0.1)
 
 
-def test_line_search_bound_expansion_matches_direct_form():
-    # the expanded form substitutes delta_{k+1} = beta_{k+1} / (k+1)
-    for nu, m_nu, m0, k, beta in [
-        (0.3, 2.7, 0.8, 17, 0.2),
-        (0.0, 1.5, 1.0, 99, 1e-3),
-        (1.0, 4.0, 2.0, 5, 0.6),
-    ]:
-        direct = analysis.line_search_total_bound(nu, m_nu, m0, k, beta / (k + 1))
-        expanded = analysis.line_search_total_bound_expanded(nu, m_nu, m0, k, beta)
-        assert expanded == pytest.approx(direct, rel=1e-12)
-
-
 def test_line_search_bound_floor_at_one():
     # a tiny effective curvature still charges k + 2 trials overall
     assert analysis.line_search_total_bound(1.0, 1e-6, 1.0, 10, 0.5) == 10 + 1 + 1.0
 
 
 def test_line_search_bound_grows_as_tolerance_shrinks():
-    vals = [analysis.line_search_total_bound_expanded(0.0, 2.0, 1.0, 50, eps)
+    k = 50
+    vals = [analysis.line_search_total_bound(0.0, 2.0, 1.0, k, eps / (k + 1))
             for eps in (1e-1, 1e-3, 1e-6)]
     assert vals[0] < vals[1] < vals[2]
     with pytest.raises(ValueError):
-        analysis.line_search_total_bound_expanded(0.0, 2.0, 1.0, 50, 0.0)
+        analysis.line_search_total_bound(0.0, 2.0, 1.0, k, 0.0)
 
 
 # ---------------------------------------------------------------- envelopes
@@ -268,21 +257,6 @@ def test_fit_rate_window_and_positivity_errors():
         analysis.fit_rate(trace, "beta_k", 1, 19)
 
 
-def test_interpolate_beta_mechanics():
-    betas = [1.0, 0.5, 0.25, 0.2]
-    for k, b in enumerate(betas):
-        assert analysis.interpolate_beta(betas, float(k)) == b
-    assert analysis.interpolate_beta(betas, 0.5) == pytest.approx(0.75)
-    assert analysis.interpolate_beta(betas, 2.25) == pytest.approx(0.2375)
-    # clamps at the right end
-    assert analysis.interpolate_beta(betas, 3.0) == 0.2
-    assert analysis.interpolate_beta(betas, 57.0) == 0.2
-    with pytest.raises(ValueError):
-        analysis.interpolate_beta(betas, -0.5)
-    with pytest.raises(ValueError):
-        analysis.interpolate_beta([], 0.0)
-
-
 def test_interpolated_beta_dominated_by_fitted_envelope():
     # strongly convex run started with gamma0 far below mu: the envelope
     # constant fitted on an early window keeps dominating later, also at
@@ -300,7 +274,7 @@ def test_interpolated_beta_dominated_by_fitted_envelope():
                  for k in range(100, 201))
     for t in np.linspace(200.0, 500.0, 1201):
         level = fitted * analysis.envelope(spec, t)
-        assert analysis.interpolate_beta(betas, t) <= level * (1.0 + 1e-9)
+        assert np.interp(t, np.arange(len(betas)), betas) <= level * (1.0 + 1e-9)
 
 
 def test_interpolated_beta_same_window_domination_unregularized():
@@ -318,4 +292,4 @@ def test_interpolated_beta_same_window_domination_unregularized():
                  for k in range(100, 501))
     for t in np.linspace(100.0, 500.0, 1601):
         level = fitted * analysis.envelope(spec, t)
-        assert analysis.interpolate_beta(betas, t) <= level * (1.0 + 1e-5)
+        assert np.interp(t, np.arange(len(betas)), betas) <= level * (1.0 + 1e-5)

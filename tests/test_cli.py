@@ -108,6 +108,30 @@ def test_instance_can_be_a_serialized_snapshot(tmp_path):
     assert os.path.exists(tmp_path / "snap_trace.csv")
 
 
+def test_instance_file_errors_exit_2_with_one_error_line(tmp_path, capsys):
+    (tmp_path / "inst.json").write_text("{not json", encoding="utf-8")
+    for name, message in (("inst.json", "not valid JSON"), ("absent.json", "not found")):
+        cfg = write_config(tmp_path / "run.json", {"instance": name})
+        assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_beta0_is_an_unknown_solver_field(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", qp_config(solver={"beta0": 1.0}))
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    assert "unknown solver fields ['beta0']" in capsys.readouterr().err
+
+
+def test_instance_document_missing_a_stored_field_exits_2(tmp_path, capsys):
+    doc = problems.instance_to_dict(problems.make_basis_pursuit(4, 9, seed=2, sparsity=2))
+    del doc["b"]
+    cfg = write_config(tmp_path / "run.json", {"instance": doc})
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'b'" in err and err.count("\n") == 1
+
+
 def test_missing_field_errors_name_the_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", {"solver": {}})
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 2

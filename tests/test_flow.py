@@ -31,7 +31,7 @@ def test_schedule_closed_forms():
     assert flow.gamma_of(0.0, 0.3, 2.0) == pytest.approx(2.0)
     assert flow.gamma_of(math.log(2.0), 0.3, 2.0) == pytest.approx(0.3 + 1.7 / 2.0)
     assert flow.gamma_of(50.0, 0.3, 2.0) == pytest.approx(0.3, abs=1e-12)
-    assert flow.beta_of(math.log(4.0), 8.0) == pytest.approx(2.0)
+    assert flow.beta_of(math.log(4.0)) == pytest.approx(0.25)
 
 
 def test_rhs_vanishes_at_saddle():
@@ -146,6 +146,30 @@ def test_default_gamma0_matches_the_solver_without_a_norm_metadata():
     explicit = flow.integrate(qp, t_end=0.05, dt=0.01, gamma0=gamma0)
     assert [e for _, e in default] == [e for _, e in explicit]
     assert np.array_equal(default[-1][0].w, explicit[-1][0].w)
+
+
+def test_flow_lyapunov_is_the_lagrangian_formula():
+    qp = problems.make_synthetic_qp(9, 3, mu=0.4, seed=7)
+    gamma0 = SolverConfig().resolved(qp).gamma0
+    trajectory = flow.integrate(qp, t_end=0.2, dt=0.02)
+    x_star, lam_star = qp.known_saddle
+    for state, value in trajectory:
+        v = qp.geometry.grad_conj(state.w)
+        dl = state.lam - lam_star
+        want = (qp.lagrangian(state.x, lam_star) - qp.lagrangian(x_star, state.lam)
+                + flow.gamma_of(state.t, qp.mu, gamma0) * qp.geometry.divergence(x_star, v)
+                + 0.5 * flow.beta_of(state.t) * float(dl @ dl))
+        assert value == want
+        assert flow.flow_lyapunov(state, qp, gamma0) == value
+
+
+def test_flow_evaluates_the_saddle_objective_once():
+    qp = problems.make_synthetic_qp(6, 2, mu=0.5, seed=4)
+    calls = []
+    objective = qp.objective
+    qp.objective = lambda x: calls.append(1) or objective(x)
+    trajectory = flow.integrate(qp, t_end=0.2, dt=0.02)
+    assert len(calls) == len(trajectory) + 1  # one per grid point, one for x*
 
 
 def test_trajectory_grid_and_initial_conditions():

@@ -1,14 +1,18 @@
 """Instance generators: oracle correctness, metadata, serialization."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uapd import problems
 from uapd.problems import (InstanceRecipe, instance_from_dict, instance_to_dict,
-                           make_basis_pursuit, make_matrix_game,
+                           load_instance, make_basis_pursuit, make_matrix_game,
                            make_regularized_matrix_game, make_steiner,
                            make_synthetic_qp, operator_norm)
+from uapd.solver import SolverConfig, solve
 
 import helpers
 
@@ -61,6 +65,14 @@ def test_a_norm_survives_json_round_trip_bit_for_bit():
                  make_synthetic_qp(7, 3, mu=0.3, seed=22, a_norm=0.5)):
         clone = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
         assert clone.metadata["a_norm"] == inst.metadata["a_norm"]
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_operator_norm_of_tiny_and_huge_matrices(scale):
+    # unscaled, the Gram matrix underflows to zero or overflows to inf
+    A = np.random.default_rng(5).standard_normal((5, 8))
+    want = scale * np.linalg.svd(A, compute_uv=False)[0]
+    assert abs(operator_norm(scale * A) - want) <= 1e-12 * want
 
 
 def test_operator_norm_zero_matrix():
@@ -328,3 +340,94 @@ def test_instance_json_round_trip(maker, args):
 def test_instance_from_dict_requires_kind():
     with pytest.raises(ValueError):
         instance_from_dict({"m": 3})
+
+
+# ---------------------------------------------------------------------------
+# instance kinds: recipes, documents and the loader
+
+# One recipe per kind with the JSON document written for it by an earlier
+# serializer: the document format must not change.
+DOCUMENTS = json.loads(
+    (Path(__file__).parent / "data" / "instance_documents.json").read_text(encoding="utf-8"))
+
+STORED_FIELDS = {
+    "matrix_game": ["P"],
+    "regularized_matrix_game": ["P", "eps"],
+    "steiner": ["anchors"],
+    "basis_pursuit": ["A", "b", "x_true", "sparsity"],
+    "synthetic_qp": ["H", "c", "A", "b", "x_star", "lam_star"],
+}
+
+
+def test_documents_cover_every_kind():
+    assert sorted(e["recipe"]["kind"] for e in DOCUMENTS) == sorted(STORED_FIELDS)
+
+
+@pytest.mark.parametrize("entry", DOCUMENTS, ids=lambda e: e["recipe"]["kind"])
+def test_instance_to_dict_fields_per_kind(entry):
+    doc = instance_to_dict(InstanceRecipe.from_dict(entry["recipe"]).generate())
+    common = ["kind", "m", "n", "seed", "mu", "geometry"]
+    assert list(doc) == common + STORED_FIELDS[entry["recipe"]["kind"]]
+
+
+def _replay(instance):
+    _, trace = solve(instance, SolverConfig(max_iterations=25))
+    return [dataclasses.replace(r, wall_time_s=0.0) for r in trace]
+
+
+@pytest.mark.parametrize("entry", DOCUMENTS, ids=lambda e: e["recipe"]["kind"])
+def test_stored_document_is_rewritten_and_replays_its_instance(entry):
+    inst = InstanceRecipe.from_dict(entry["recipe"]).generate()
+    assert json.loads(json.dumps(instance_to_dict(inst))) == entry["document"]
+    for load in (instance_from_dict, load_instance):
+        assert _replay(load(entry["document"])) == _replay(inst)
+
+
+def test_load_instance_builds_documents_from_their_data():
+    doc = instance_to_dict(make_matrix_game(3, 4, seed=1))
+    doc["seed"] = 2  # a document is not regenerated from its seed
+    assert np.array_equal(load_instance(doc).metadata["P"], np.array(doc["P"]))
+    recipe = {"kind": "matrix_game", "m": 3, "n": 4, "seed": 2}
+    assert np.array_equal(load_instance(recipe).metadata["P"],
+                          make_matrix_game(3, 4, seed=2).metadata["P"])
+
+
+def test_unknown_kind_is_named():
+    spec = {"kind": "lattice", "m": 2, "n": 3, "seed": 0}
+    for load in (instance_from_dict, load_instance,
+                 lambda d: InstanceRecipe.from_dict(d).generate()):
+        with pytest.raises(ValueError, match="'lattice'"):
+            load(spec)
+    inst = make_steiner(2, 3, seed=0)
+    inst.metadata["kind"] = "lattice"
+    with pytest.raises(ValueError, match="'lattice'"):
+        instance_to_dict(inst)
+
+
+@pytest.mark.parametrize("kind,field", [("regularized_matrix_game", "eps"),
+                                        ("basis_pursuit", "sparsity")])
+def test_recipe_without_its_required_field_raises(kind, field):
+    with pytest.raises(ValueError, match=field):
+        load_instance({"kind": kind, "m": 3, "n": 5, "seed": 0})
+
+
+def test_document_missing_a_stored_field_raises():
+    doc = instance_to_dict(make_synthetic_qp(6, 2, mu=0.5, seed=3))
+    del doc["lam_star"]
+    with pytest.raises(ValueError, match="lam_star"):
+        instance_from_dict(doc)
+
+
+def test_recipes_call_the_generators_through_the_module(monkeypatch):
+    # wrapping make_* in the module namespace (as bench/tracer.py does to
+    # time instance builds) must reach every recipe
+    built = []
+    for name in ("make_matrix_game", "make_regularized_matrix_game", "make_steiner",
+                 "make_basis_pursuit", "make_synthetic_qp"):
+        def wrapped(*args, _make=getattr(problems, name), _name=name, **kwargs):
+            built.append(_name)
+            return _make(*args, **kwargs)
+        monkeypatch.setattr(problems, name, wrapped)
+    for entry in DOCUMENTS:
+        InstanceRecipe.from_dict(entry["recipe"]).generate()
+    assert sorted(built) == sorted("make_" + kind for kind in STORED_FIELDS)

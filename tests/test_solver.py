@@ -331,7 +331,7 @@ def test_trace_objective_is_objective_at_iterate():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(M0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SolverConfig(beta0=2.0)
     with pytest.raises(ValueError):
         SolverConfig(delta_scale=0.0)
