@@ -7,7 +7,7 @@ continuous-time flow integrator, and a JSON/CSV benchmark CLI.
 """
 
 from .geometry import (BregmanGeometry, CompositeProxQuery, EntropyGeometry,
-                       EuclideanGeometry, geometry_from_dict, three_term_residual)
+                       EuclideanGeometry, three_term_residual)
 from .problems import (InstanceRecipe, ProblemInstance, instance_from_dict,
                        instance_to_dict, load_instance, make_basis_pursuit,
                        make_matrix_game, make_regularized_matrix_game, make_steiner,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BregmanGeometry", "CompositeProxQuery", "EntropyGeometry",
-    "EuclideanGeometry", "geometry_from_dict", "three_term_residual",
+    "EuclideanGeometry", "three_term_residual",
     "InstanceRecipe", "ProblemInstance", "instance_from_dict",
     "instance_to_dict", "load_instance", "make_basis_pursuit", "make_matrix_game",
     "make_regularized_matrix_game", "make_steiner", "make_synthetic_qp",

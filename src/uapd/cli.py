@@ -44,12 +44,12 @@ class ConfigError(Exception):
 
 def _load_json(path):
     if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _require(cfg, field):

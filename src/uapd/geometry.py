@@ -164,9 +164,7 @@ class BregmanGeometry:
         raise NotImplementedError
 
     def composite_prox(self, query):
-        raise NotImplementedError
-
-    def _validate_query(self, query):
+        """Checked prox: validates ``query``, then solves it with ``_prox``."""
         c = _check_vector(query.linear_term, self.dimension, "linear_term")
         y = _check_vector(query.anchor_y, self.dimension, "anchor_y")
         v = _check_vector(query.anchor_v, self.dimension, "anchor_v")
@@ -176,7 +174,15 @@ class BregmanGeometry:
             raise ValueError(f"rho must be positive, got {query.rho}")
         if query.nonsmooth not in ("zero", "squared_l1_half"):
             raise ValueError(f"unknown nonsmooth term {query.nonsmooth!r}")
-        return c, y, v
+        self._check_prox_inputs(y, v, query.nonsmooth)
+        return self._prox(c, y, query.mu, v, query.rho, query.nonsmooth)
+
+    def _check_prox_inputs(self, y, v, nonsmooth):
+        """Checks of the geometry's own; none by default."""
+
+    def _prox(self, c, y, mu, v, rho, nonsmooth):
+        """The composite prox without input checks (the solver's hot path)."""
+        raise NotImplementedError
 
     def to_dict(self):
         raise NotImplementedError
@@ -252,13 +258,14 @@ class EuclideanGeometry(BregmanGeometry):
                     return False
         return True
 
-    def composite_prox(self, query):
-        c, y, v = self._validate_query(query)
-        s = query.mu + query.rho
-        z = (query.mu * y + query.rho * v - c) / s
-        if query.nonsmooth == "squared_l1_half":
-            if self.domain != "reals":
-                raise ValueError("squared_l1_half prox requires the full-space domain")
+    def _check_prox_inputs(self, y, v, nonsmooth):
+        if nonsmooth == "squared_l1_half" and self.domain != "reals":
+            raise ValueError("squared_l1_half prox requires the full-space domain")
+
+    def _prox(self, c, y, mu, v, rho, nonsmooth):
+        s = mu + rho
+        z = (mu * y + rho * v - c) / s
+        if nonsmooth == "squared_l1_half":
             # Rescale so the subproblem is 0.5||v - z||^2 + (w/2)||v||_1^2.
             return _prox_squared_l1(z, 1.0 / s)
         return self._project(z)
@@ -286,6 +293,7 @@ class EntropyGeometry(BregmanGeometry):
     def __init__(self, dimension, blocks=None):
         super().__init__(dimension)
         self.blocks = _check_blocks(blocks if blocks is not None else (dimension,), dimension)
+        self._slices = tuple(_block_slices(self.blocks))
 
     def _check_nonneg(self, x, name):
         if np.any(x < 0):
@@ -329,37 +337,29 @@ class EntropyGeometry(BregmanGeometry):
                 return False
         return True
 
-    def composite_prox(self, query):
-        c, y, v = self._validate_query(query)
-        if query.nonsmooth != "zero":
+    def _check_prox_inputs(self, y, v, nonsmooth):
+        if nonsmooth != "zero":
             raise ValueError("entropy geometry only supports the zero nonsmooth term")
         if not np.minimum(y, v).min() >= 0:
             raise ValueError("anchor_y or anchor_v has negative or NaN entries; "
                              "outside the entropy domain")
-        s = query.mu + query.rho
-        if query.mu == 0:
+
+    def _prox(self, c, y, mu, v, rho, nonsmooth):
+        s = mu + rho
+        if mu == 0:
             # mu * log(y) would only add a signed zero here.
-            a = (query.rho * _floored_log(v) - c) / s
+            a = (rho * _floored_log(v) - c) / s
         else:
-            a = (query.mu * _floored_log(y) + query.rho * _floored_log(v) - c) / s
-        out = np.empty_like(a)
-        for sl in _block_slices(self.blocks):
-            e = np.exp(a[sl] - a[sl].max())
-            out[sl] = e / e.sum()
-        return out
+            a = (mu * _floored_log(y) + rho * _floored_log(v) - c) / s
+        for sl in self._slices:  # softmax per block, in place
+            e = a[sl]
+            e -= e.max()
+            np.exp(e, out=e)
+            e /= e.sum()
+        return a
 
     def to_dict(self):
         return {"kind": self.kind, "dimension": self.dimension, "blocks": list(self.blocks)}
-
-
-def geometry_from_dict(d):
-    kind = d["kind"]
-    if kind == "euclidean":
-        return EuclideanGeometry(d["dimension"], domain=d.get("domain", "reals"),
-                                 blocks=d.get("blocks"))
-    if kind == "entropy":
-        return EntropyGeometry(d["dimension"], blocks=d.get("blocks"))
-    raise ValueError(f"unknown geometry kind {kind!r}")
 
 
 def three_term_residual(geom, x, y, z):

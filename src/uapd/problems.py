@@ -11,7 +11,7 @@ replay bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +47,8 @@ def operator_norm(A):
     approaches 1.  ``A`` is first scaled by the power of two 2^-e with
     2^(e-1) <= max|A_ij| < 2^e, which is exact, so the Gram matrix
     neither underflows nor overflows; the root is scaled back by 2^e.
-    An empty or all-zero matrix returns 0.
+    An empty or all-zero matrix returns 0; a norm beyond the float
+    range raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0 or not np.any(A):
@@ -55,7 +56,10 @@ def operator_norm(A):
     e = math.frexp(float(np.abs(A).max()))[1]
     A = np.ldexp(A, -e)
     gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    return math.ldexp(float(np.sqrt(np.linalg.eigvalsh(gram)[-1])), e)
+    try:
+        return math.ldexp(float(np.sqrt(np.linalg.eigvalsh(gram)[-1])), e)
+    except OverflowError:
+        raise ValueError("the operator norm overflows the float range") from None
 
 
 @dataclass
@@ -63,10 +67,13 @@ class ProblemInstance:
     """Composite problem min h(x) + g(x) s.t. A x = b, x in the domain.
 
     ``h_oracle`` maps a point to ``(value, gradient)``; for nonsmooth h
-    the gradient is a deterministic subgradient selection.  ``g_spec``
-    is "zero" or "squared_l1_half".  ``known_saddle`` is ``(x*, lam*)``
-    when available (lam* empty for unconstrained problems) and enables
-    Lyapunov diagnostics; ``known_optimum`` is f(x*) when known.
+    the gradient is a deterministic subgradient selection.  When h(x) =
+    phi(x, K x) with K linear, ``K`` is the map x -> K x and ``h_oracle``
+    takes ``(x, K x)``, so a caller holding the image skips the product.
+    ``g_spec`` is "zero" or "squared_l1_half".  ``known_saddle`` is
+    ``(x*, lam*)`` when available (lam* empty for unconstrained problems)
+    and enables Lyapunov diagnostics; ``known_optimum`` is f(x*) when
+    known.
     """
 
     h_oracle: object
@@ -79,6 +86,7 @@ class ProblemInstance:
     known_optimum: float | None = None
     differentiable: bool = False
     metadata: dict = field(default_factory=dict)
+    K: object = None
 
     def __post_init__(self):
         if self.g_spec not in ("zero", "squared_l1_half"):
@@ -100,9 +108,20 @@ class ProblemInstance:
     def dual_dimension(self):
         return 0 if self.A is None else self.A.shape[0]
 
-    def h(self, x):
-        value, grad = self.h_oracle(x)
+    def h(self, x, image=None):
+        """(h(x), gradient); ``image`` is K x when known, else formed here."""
+        if self.K is None:
+            value, grad = self.h_oracle(x)
+        else:
+            value, grad = self.h_oracle(x, self.K(x) if image is None else image)
         return float(value), np.asarray(grad, dtype=float)
+
+    def lift(self, x):
+        """(x, K x, A x - b) stacked in one vector; absent parts are empty."""
+        parts = [x] if self.K is None else [x, self.K(x)]
+        if self.A is not None:
+            parts.append(self.A @ x - self.b)
+        return np.concatenate(parts)
 
     def g_value(self, x):
         if self.g_spec == "zero":
@@ -146,9 +165,6 @@ class InstanceRecipe:
                 raise ValueError(f"{self.kind} requires {name}")
         return row.generate(self)
 
-    def to_dict(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
     @classmethod
     def from_dict(cls, d):
         if "kind" not in d:
@@ -166,20 +182,22 @@ class InstanceRecipe:
 
 
 def _matrix_game_oracle(P):
-    NP = -P
+    """(oracle, K) with K u = (P^T x, -P y) for u = (x, y)."""
+    n, m = P.shape
+    PT, NP = P.T, -P
 
-    def oracle(u):
-        n, m = P.shape
-        x, y = u[:n], u[n:]
-        sx = P.T @ x
-        sy = NP @ y
+    def K(u):
+        return np.concatenate((PT @ u[:n], NP @ u[n:]))
+
+    def oracle(u, image):
+        sx, sy = image[:m], image[m:]
         j = int(sx.argmax())  # argmax takes the smallest maximizing index
         i = int(sy.argmax())
         value = float(sx[j] + sy[i])
         grad = np.concatenate([P[:, j], NP[i, :]])
         return value, grad
 
-    return oracle
+    return oracle, K
 
 
 def _assemble_matrix_game(P, seed, geometry_kind):
@@ -195,8 +213,10 @@ def _assemble_matrix_game(P, seed, geometry_kind):
     col = np.linalg.norm(P, axis=0)
     row = np.linalg.norm(P, axis=1)
     diameter = 2.0 * float(np.sqrt(col.max() ** 2 + row.max() ** 2))
+    oracle, K = _matrix_game_oracle(P)
     return ProblemInstance(
-        h_oracle=_matrix_game_oracle(P),
+        h_oracle=oracle,
+        K=K,
         g_spec="zero",
         geometry=geom,
         mu=0.0,
@@ -228,8 +248,8 @@ def make_matrix_game(m, n, seed, geometry="entropy"):
 
 
 def _regularized_game_oracle(P, sigma):
-    def oracle(x):
-        u = (P.T @ x) / sigma
+    def oracle(x, image):  # image = P^T x
+        u = image / sigma
         umax = float(u.max())
         w = np.exp(u - umax)
         s = float(w.sum())
@@ -249,6 +269,7 @@ def _assemble_regularized_game(P, eps, seed):
     lips = float(np.max(np.abs(P)) ** 2 / (4.0 * sigma))
     return ProblemInstance(
         h_oracle=_regularized_game_oracle(P, sigma),
+        K=P.T.__matmul__,
         g_spec="zero",
         geometry=EntropyGeometry(n),
         mu=0.0,
@@ -368,9 +389,8 @@ def make_basis_pursuit(m, n, seed, sparsity):
 # Synthetic equality-constrained QP with a known saddle point.
 
 
-def _qp_oracle(H, c):
-    def oracle(x):
-        Hx = H @ x
+def _qp_oracle(c):
+    def oracle(x, Hx):
         return float(0.5 * (x @ Hx) + c @ x), Hx + c
 
     return oracle
@@ -387,7 +407,8 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
     ls = np.asarray(ls, dtype=float)
     eigs = np.linalg.eigvalsh(H)
     return ProblemInstance(
-        h_oracle=_qp_oracle(H, c),
+        h_oracle=_qp_oracle(c),
+        K=H.__matmul__,
         g_spec="zero",
         geometry=EuclideanGeometry(n, domain="reals"),
         A=A,

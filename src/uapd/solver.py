@@ -12,16 +12,18 @@ proportionally to the step-size parameter beta (no accuracy target is
 needed up front), while :func:`solve_fixed_tolerance` spends a fixed
 eps budget spread over iterations.
 
-Work per line-search trial: two ``h`` calls (at y_k and at the
-candidate x_{k+1}), one composite prox and, for constrained problems,
-one A^T product.  Each accepted iteration adds one A product for the
-dual update, whose residual A v_{k+1} - b is kept in the state for the
-next line search, and one for the recorded feasibility.  The trace's
-objective reuses the accepted h(x_{k+1}); on instances with a known
-saddle point the Lyapunov value reuses that objective and the
-feasibility residual, and f(x*) and A x* - b are evaluated once per
-solve.  Inputs are validated at the public boundary; inside the loop
-each trial makes two finiteness checks.
+Every point is carried lifted, as (x, K x, A x - b) stacked by
+``ProblemInstance.lift`` (K is the linear map inside h, if declared), so
+one convex combination forms y_k or x_{k+1} with its images.  Work per
+line-search trial: one lift of the prox output v_{k+1} (one K and, if
+constrained, one A product), two ``h`` calls (at y_k and x_{k+1}) on
+carried K images, one unchecked composite prox and, if constrained, one
+A^T product.  The dual update reads A v_{k+1} - b from the lift; the
+trace row (and its Lyapunov value, whose f(x*) and A x* - b are formed
+once per solve) reuses h(x_{k+1}) and the carried A x_{k+1} - b.  The
+carried images round differently from fresh products: under 1e-12
+relative on the recorded objective of the benchmark games.  Inputs are
+validated at the public boundary; each trial makes two finiteness checks.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CompositeProxQuery
 from .problems import operator_norm
 
 __all__ = [
@@ -126,14 +127,16 @@ class SolverState:
 
     alpha and delta are the step size and tolerance accepted at the
     previous iteration (zero at k = 0); line_search_total accumulates
-    the rejected-trial count Sum_j i_j.  residual is A v - b (None when
-    unconstrained), shared by every trial of the next line search.
+    the rejected-trial count Sum_j i_j.  x_lift and v_lift are
+    ``instance.lift`` of x and v, and x and v are views of their leading
+    blocks; none of these arrays is modified in place.
     """
 
     x: np.ndarray
     v: np.ndarray
+    x_lift: np.ndarray
+    v_lift: np.ndarray
     lam: np.ndarray
-    residual: np.ndarray | None
     beta: float
     gamma: float
     M: float
@@ -150,6 +153,8 @@ class InnerResult:
     y: np.ndarray
     x: np.ndarray
     v: np.ndarray
+    x_lift: np.ndarray
+    v_lift: np.ndarray
     lam: np.ndarray
     alpha: float
     beta_new: float
@@ -185,14 +190,30 @@ def _residual(instance, x):
     return None if instance.A is None else instance.A @ x - instance.b
 
 
+def _parts(instance, lifted):
+    """Views (x, K x, A x - b) of ``lifted``; the last is None when unconstrained."""
+    n, end = instance.geometry.dimension, lifted.size - instance.dual_dimension
+    return lifted[:n], lifted[n:end], lifted[end:] if instance.constrained else None
+
+
+def _average(p, q, alpha):
+    """(p + alpha q) / (1 + alpha), the same bits, with one temporary instead of three."""
+    out = alpha * q
+    out += p
+    out /= 1.0 + alpha
+    return out
+
+
 def initial_state(instance, config):
     """Barycenter start with a zero dual vector."""
-    x0 = instance.geometry.barycenter()
+    lifted = instance.lift(instance.geometry.barycenter())
+    x0 = _parts(instance, lifted)[0]
     return SolverState(
-        x=x0.copy(),
-        v=x0.copy(),
+        x=x0,
+        v=x0,
+        x_lift=lifted,
+        v_lift=lifted,
         lam=np.zeros(instance.dual_dimension),
-        residual=_residual(instance, x0),
         beta=1.0,
         gamma=config.gamma0,
         M=config.M0,
@@ -220,10 +241,12 @@ def inner_step(k, state, M_trial, instance, config, fixed_eps=None):
     else:
         delta = fixed_eps / (k + 1)
 
-    y = (state.x + alpha * state.v) / (1.0 + alpha)
-    h_y, grad_y = instance.h(y)
+    n, end = state.x.size, state.x_lift.size - instance.dual_dimension
+    y_lift = _average(state.x_lift, state.v_lift, alpha)
+    y = y_lift[:n]
+    h_y, grad_y = instance.h(y, y_lift[n:end])
     if instance.constrained:
-        lam_tilde = state.lam + (alpha / beta) * state.residual
+        lam_tilde = state.lam + (alpha / beta) * state.v_lift[end:]
         c = grad_y + instance.A.T @ lam_tilde
     else:
         lam_tilde = state.lam
@@ -232,25 +255,19 @@ def inner_step(k, state, M_trial, instance, config, fixed_eps=None):
         raise SolverError(f"non-finite h(y) or prox linear term at iteration {k} "
                           f"(M = {M_trial:g})")
 
-    query = CompositeProxQuery(
-        linear_term=c,
-        anchor_y=y,
-        mu=config.mu,
-        anchor_v=state.v,
-        rho=gamma / alpha,
-        nonsmooth=instance.g_spec,
-    )
-    v_new = instance.geometry.composite_prox(query)
-
-    x_new = (state.x + alpha * v_new) / (1.0 + alpha)
+    # unchecked: the anchors are prox outputs or their convex combinations
+    v_lift = instance.lift(instance.geometry._prox(c, y, config.mu, state.v, gamma / alpha,
+                                                   instance.g_spec))
+    x_lift = _average(state.x_lift, v_lift, alpha)
+    x_new = x_lift[:n]
     d = x_new - y
     model = h_y + float(grad_y @ d) + 0.5 * M_trial * float(d @ d)
-    h_x, _ = instance.h(x_new)
+    h_x, _ = instance.h(x_new, x_lift[n:end])
     if not math.isfinite(h_x - model):
         raise SolverError(f"non-finite h(x) - model at iteration {k} (M = {M_trial:g})")
 
     return InnerResult(
-        y=y, x=x_new, v=v_new, lam=lam_tilde,
+        y=y, x=x_new, v=v_lift[:n], x_lift=x_lift, v_lift=v_lift, lam=lam_tilde,
         alpha=alpha, beta_new=beta_new, delta=delta, model=model, h_at_x=h_x,
     )
 
@@ -277,14 +294,15 @@ def line_search(k, state, instance, config, fixed_eps=None):
 def outer_update(state, accepted, M_accepted, instance, config):
     """Advance the state with an accepted step."""
     alpha = accepted.alpha
-    lam, residual = state.lam, _residual(instance, accepted.v)
+    lam, residual = state.lam, _parts(instance, accepted.v_lift)[2]
     if residual is not None:
         lam = state.lam + (alpha / state.beta) * residual
     return SolverState(
         x=accepted.x,
         v=accepted.v,
+        x_lift=accepted.x_lift,
+        v_lift=accepted.v_lift,
         lam=lam,
-        residual=residual,
         beta=accepted.beta_new,
         gamma=(state.gamma + config.mu * alpha) / (1.0 + alpha),
         M=M_accepted,
@@ -320,26 +338,24 @@ def _lyapunov(instance, lam, v, gamma, beta, objective, residual, saddle_terms):
 
 
 def lyapunov(state, instance):
-    """Lyapunov value of (x_k, v_k, lam_k, gamma_k, beta_k); see ``_lyapunov``."""
+    """Lyapunov value of (x_k, v_k, lam_k, gamma_k, beta_k), from the lifted x_k."""
     if instance.known_saddle is None:
         raise ValueError("lyapunov requires an instance with a known saddle point")
+    x, image, residual = _parts(instance, state.x_lift)
     return _lyapunov(instance, state.lam, state.v, state.gamma, state.beta,
-                     instance.objective(state.x), _residual(instance, state.x),
+                     instance.h(x, image)[0] + instance.g_value(x), residual,
                      _saddle_terms(instance))
 
 
-def _record(state, instance, i_k, wall, h_at_x=None, saddle_terms=None):
-    """Trace row for ``state``; ``h_at_x`` is h(state.x) when already known.
+def _record(state, instance, i_k, wall, h_at_x, saddle_terms=None):
+    """Trace row for ``state``; ``h_at_x`` is h(state.x).
 
-    ``saddle_terms`` is ``_saddle_terms(instance)`` when the instance has
-    a known saddle point; one A x_k - b serves feasibility and Lyapunov.
+    ``saddle_terms`` is ``_saddle_terms(instance)`` when the instance has a
+    known saddle point; the carried A x_k - b serves feasibility and Lyapunov.
     """
-    if h_at_x is None:
-        obj = instance.objective(state.x)
-    else:
-        obj = h_at_x + instance.g_value(state.x)
+    obj = h_at_x + instance.g_value(state.x)
     f_res = None if instance.known_optimum is None else obj - instance.known_optimum
-    residual = _residual(instance, state.x)
+    residual = _parts(instance, state.x_lift)[2]
     lyap = None
     if saddle_terms is not None:
         lyap = _lyapunov(instance, state.lam, state.v, state.gamma, state.beta, obj,
@@ -383,7 +399,8 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     state = initial_state(instance, config)
     saddle_terms = None if instance.known_saddle is None else _saddle_terms(instance)
     t0 = time.perf_counter()
-    trace = [_record(state, instance, 0, 0.0, saddle_terms=saddle_terms)]
+    h_at_x0 = instance.h(*_parts(instance, state.x_lift)[:2])[0]
+    trace = [_record(state, instance, 0, 0.0, h_at_x0, saddle_terms)]
     for k in range(config.max_iterations):
         accepted, i_k, M_acc = line_search(k, state, instance, config, fixed_eps=fixed_eps)
         new_state = outer_update(state, accepted, M_acc, instance, config)

@@ -115,6 +115,16 @@ def test_instance_file_errors_exit_2_with_one_error_line(tmp_path, capsys):
         assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert name in err
+
+
+def test_operator_norm_overflow_exits_2_with_one_error_line(tmp_path, capsys):
+    doc = problems.instance_to_dict(problems.make_basis_pursuit(1, 2, seed=2, sparsity=1))
+    doc["A"] = [[1.7e308, 1e308]]  # ||A|| exceeds the float range
+    cfg = write_config(tmp_path / "run.json", {"instance": doc})
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
 
 
 def test_beta0_is_an_unknown_solver_field(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uapd.geometry import (CompositeProxQuery, EntropyGeometry, EuclideanGeometry,
-                           geometry_from_dict, three_term_residual)
+                           three_term_residual)
 
 import helpers
 
@@ -286,11 +286,3 @@ def test_bad_constructor_arguments():
         EuclideanGeometry(3, blocks=(3,))
     with pytest.raises(ValueError):
         EntropyGeometry(5, blocks=(2, 2))
-
-
-def test_geometry_round_trip_through_dict():
-    for geom in all_geometries():
-        clone = geometry_from_dict(geom.to_dict())
-        assert clone.kind == geom.kind
-        assert clone.dimension == geom.dimension
-        assert np.allclose(clone.barycenter(), geom.barycenter())

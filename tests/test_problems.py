@@ -75,6 +75,11 @@ def test_operator_norm_of_tiny_and_huge_matrices(scale):
     assert abs(operator_norm(scale * A) - want) <= 1e-12 * want
 
 
+def test_operator_norm_beyond_the_float_range_raises_value_error():
+    with pytest.raises(ValueError, match="overflows"):
+        operator_norm([[1.7e308, 1e308]])
+
+
 def test_operator_norm_zero_matrix():
     assert operator_norm(np.zeros((4, 3))) == 0.0
 
@@ -163,7 +168,7 @@ def test_regularized_game_gradient_finite_difference():
     rng = np.random.default_rng(4)
     x = helpers.random_point(inst.geometry, rng)
     _, grad = inst.h(x)
-    fd = helpers.finite_difference_gradient(lambda u: inst.h_oracle(u)[0], x)
+    fd = helpers.finite_difference_gradient(lambda u: inst.h(u)[0], x)
     assert np.max(np.abs(grad - fd)) < 1e-5
     assert inst.differentiable
 
@@ -258,7 +263,7 @@ def test_synthetic_qp_gradient_finite_difference():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(6)
     _, grad = inst.h(x)
-    fd = helpers.finite_difference_gradient(lambda u: inst.h_oracle(u)[0], x)
+    fd = helpers.finite_difference_gradient(lambda u: inst.h(u)[0], x)
     assert np.max(np.abs(grad - fd)) < 1e-4
 
 
@@ -284,7 +289,7 @@ def test_lagrangian_definition():
 
 def test_recipe_round_trip_and_generate():
     r = InstanceRecipe(kind="matrix_game", m=4, n=6, seed=17)
-    r2 = InstanceRecipe.from_dict(json.loads(json.dumps(r.to_dict())))
+    r2 = InstanceRecipe.from_dict(json.loads(json.dumps(dataclasses.asdict(r))))
     assert r2 == r
     a = r.generate()
     b = r2.generate()

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from uapd.geometry import EntropyGeometry, EuclideanGeometry
+from uapd.geometry import (LOG_FLOOR, CompositeProxQuery, EntropyGeometry,
+                           EuclideanGeometry)
 from uapd.problems import (ProblemInstance, make_basis_pursuit, make_matrix_game,
                            make_regularized_matrix_game, make_steiner,
                            make_synthetic_qp)
@@ -293,15 +294,124 @@ def test_non_finite_oracle_raises_solver_error():
 def test_one_oracle_call_per_point(instance):
     oracle, calls = instance.h_oracle, [0]
 
-    def counted(x):
+    def counted(*args):  # (x) or, with a declared K, (x, K x)
         calls[0] += 1
-        return oracle(x)
+        return oracle(*args)
     instance.h_oracle = counted
     state, trace = solve(instance, SolverConfig(max_iterations=40))
     # the k = 0 row (and f(x*) once when the saddle point is known),
     # then h(y_k) and h(x_{k+1}) for every trial
     once = 2 if instance.known_saddle is not None else 1
     assert calls[0] == once + 2 * (trace[-1].k + state.line_search_total)
+
+
+def lifted_instances():
+    return [make_matrix_game(20, 30, seed=5), make_synthetic_qp(12, 4, mu=0.0, seed=3),
+            make_basis_pursuit(10, 30, seed=2, sparsity=3)]
+
+
+LIFTED_IDS = ["matrix_game", "synthetic_qp", "basis_pursuit"]
+
+
+@pytest.mark.parametrize("instance", lifted_instances(), ids=LIFTED_IDS)
+def test_carried_images_match_fresh_products(instance):
+    state, trace = solve(instance, SolverConfig(max_iterations=2000))
+    assert trace[-1].k == 2000
+    n, end = state.x.size, state.x_lift.size - instance.dual_dimension
+    assert np.array_equal(state.x_lift[:n], state.x)
+    # every trial lifts v_{k+1} afresh, so its images are exact
+    assert np.array_equal(state.v_lift, instance.lift(state.v))
+    # x_k carries its images through 2000 convex combinations; the worst
+    # drift measured here is 5.5e-15 for K x and 1.2e-15 for A x - b
+    if instance.K is not None:
+        fresh = instance.K(state.x)
+        assert np.max(np.abs(state.x_lift[n:end] - fresh)) <= 5e-14 * np.max(np.abs(fresh))
+    if instance.constrained:
+        fresh = instance.A @ state.x - instance.b
+        scale = np.max(np.abs(instance.b))
+        assert np.max(np.abs(state.x_lift[end:] - fresh)) <= 1e-14 * scale
+
+
+class CountingMatrix(np.ndarray):
+    """Constraint matrix view (and transposes) counting ``@`` products."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __matmul__(self, other):
+        self.counter[0] += 1
+        return self.view(np.ndarray) @ other
+
+
+@pytest.mark.parametrize("instance", lifted_instances(), ids=LIFTED_IDS)
+def test_one_k_product_per_trial_and_two_a_products_per_iteration(instance):
+    k_products, a_products = [0], [0]
+    if instance.K is not None:
+        K = instance.K
+
+        def counted(x):
+            k_products[0] += 1
+            return K(x)
+        instance.K = counted
+    if instance.constrained:
+        instance.A = instance.A.view(CountingMatrix)
+        instance.A.counter = a_products
+    state, trace = solve(instance, SolverConfig(max_iterations=40))
+    trials = trace[-1].k + state.line_search_total
+    # x_0 is lifted once and, when the saddle point is known, f(x*) and
+    # A x* - b are formed once; then every trial lifts v_{k+1} (one K
+    # product, one A product) and forms one A^T product
+    once = 1 + (instance.known_saddle is not None)
+    if instance.K is not None:
+        assert k_products[0] == once + trials
+    if instance.constrained:
+        assert a_products[0] == once + 2 * trials
+    if instance.metadata["kind"] == "basis_pursuit":
+        assert state.line_search_total == 0 and a_products[0] == 1 + 2 * trace[-1].k
+
+
+def softmax_prox(geometry, c, y, mu, v, rho):
+    """The entropy prox with an out-of-place softmax per block."""
+    log_v = np.log(np.maximum(v, LOG_FLOOR))
+    if mu == 0:
+        a = (rho * log_v - c) / (mu + rho)
+    else:
+        a = (mu * np.log(np.maximum(y, LOG_FLOOR)) + rho * log_v - c) / (mu + rho)
+    out = np.empty_like(a)
+    for sl in helpers.block_slices(geometry.blocks):
+        e = np.exp(a[sl] - a[sl].max())
+        out[sl] = e / e.sum()
+    return out
+
+
+@pytest.mark.parametrize("instance", [make_matrix_game(20, 30, seed=5),
+                                      make_matrix_game(20, 30, seed=5, geometry="euclidean"),
+                                      make_regularized_matrix_game(6, 9, seed=6, eps=0.5),
+                                      make_synthetic_qp(12, 4, mu=0.5, seed=4),
+                                      make_basis_pursuit(10, 30, seed=2, sparsity=3)],
+                         ids=["entropy_game", "euclidean_game", "regularized_game",
+                              "synthetic_qp", "basis_pursuit"])
+def test_unchecked_prox_equals_composite_prox_on_solver_queries(instance):
+    geometry, seen = instance.geometry, []
+    prox = geometry._prox
+
+    def recording(*args):
+        before = [a.copy() for a in args if isinstance(a, np.ndarray)]
+        out = prox(*args)
+        after = [a for a in args if isinstance(a, np.ndarray)]
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))  # inputs untouched
+        seen.append((args, out))
+        return out
+    geometry._prox = recording
+    solve(instance, SolverConfig(max_iterations=60))
+    del geometry._prox
+    assert len(seen) >= 60
+    for (c, y, mu, v, rho, nonsmooth), out in seen:
+        query = CompositeProxQuery(linear_term=c, anchor_y=y, mu=mu, anchor_v=v, rho=rho,
+                                   nonsmooth=nonsmooth)
+        assert np.array_equal(geometry.composite_prox(query), out)
+        if geometry.kind == "entropy":  # the in-place softmax changes no bit
+            assert np.array_equal(softmax_prox(geometry, c, y, mu, v, rho), out)
 
 
 def test_trace_lyapunov_is_lyapunov_of_state():
@@ -316,7 +426,9 @@ def test_trace_lyapunov_is_lyapunov_of_state():
         dl = state.lam - lam_star
         want = (instance.lagrangian(state.x, lam_star) - instance.lagrangian(x_star, state.lam)
                 + state.gamma * instance.geometry.divergence(x_star, state.v))
-        assert record.lyapunov == want + 0.5 * state.beta * float(dl @ dl)
+        # the record uses the carried H x_k and A x_k - b; the formula multiplies afresh
+        assert record.lyapunov == pytest.approx(want + 0.5 * state.beta * float(dl @ dl),
+                                                rel=1e-12)
 
 
 def test_trace_objective_is_objective_at_iterate():
@@ -325,7 +437,10 @@ def test_trace_objective_is_objective_at_iterate():
         iterates = [recorder.steps[0][1].x] + [s[4].x for s in recorder.steps]
         assert len(iterates) == len(trace)
         for record, x in zip(trace, iterates):
-            assert record.objective == instance.objective(x)
+            if instance.K is None:
+                assert record.objective == instance.objective(x)
+            else:  # the record's h uses the carried K x, which rounds differently
+                assert record.objective == pytest.approx(instance.objective(x), rel=1e-12)
 
 
 def test_config_validation():
