@@ -10,7 +10,8 @@ Subcommands::
 A config names an instance (inline recipe dict, inline serialized
 instance, or a path to a JSON file holding either), an optional
 ``solver`` section with SolverConfig fields, a ``variant`` ("uapd" or
-"fixed_tolerance" with an ``eps``), and an ``output`` file prefix.
+"fixed_tolerance", which needs a top-level ``eps``), and an ``output``
+file prefix.
 ``flow`` runs need a ``flow`` section with ``t_end`` and ``dt``;
 ``bounds`` accepts a ``bounds`` section (nu, M_nu, fit_window).
 
@@ -96,14 +97,8 @@ def _solver_config(cfg):
         raise ConfigError(f"bad solver section: {exc}") from exc
 
 
-def _variant(cfg, default_eps=None):
-    raw = cfg.get("variant", "uapd")
-    eps = cfg.get("eps", default_eps)
-    if isinstance(raw, dict):
-        name = raw.get("name")
-        eps = raw.get("eps", eps)
-    else:
-        name = raw
+def _variant(cfg):
+    name, eps = cfg.get("variant", "uapd"), cfg.get("eps")
     if eps is not None:
         _number(eps, "eps")
     if name not in ("uapd", "fixed_tolerance"):
@@ -195,7 +190,7 @@ def cmd_compare(cfg, base_dir, out_dir):
     config = _solver_config(cfg)
     _, eps = _variant({"variant": "fixed_tolerance", "eps": cfg.get("eps", 1e-3)})
     prefix = cfg.get("output", "run")
-    _, trace_u, wall_u = _run(instance, config, "uapd", None)
+    state_u, trace_u, wall_u = _run(instance, config, "uapd", None)
     state_b, trace_b, wall_b = _run(instance, config, "fixed_tolerance", eps)
     path = _out_path(out_dir, prefix, "compare.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -205,7 +200,7 @@ def cmd_compare(cfg, base_dir, out_dir):
     summary = {
         "eps": eps,
         "uapd": {"iterations": trace_u[-1].k, "wall_time_s": wall_u,
-                 "line_search_total": sum(r.i_k for r in trace_u)},
+                 "line_search_total": state_u.line_search_total},
         "fixed_tolerance": {"iterations": trace_b[-1].k, "wall_time_s": wall_b,
                             "line_search_total": state_b.line_search_total},
     }
@@ -263,11 +258,9 @@ def cmd_bounds(cfg, base_dir, out_dir):
     prefix = cfg.get("output", "run")
 
     state, trace, _ = _run(instance, config, "uapd", None)
-    resolved = config.resolved(instance)
-    mu = resolved.mu
-    gamma_min = min(resolved.gamma0, mu) if mu > 0 else resolved.gamma0
-    spec = decay_spec_for_solver(nu, mu, resolved.gamma0, gamma_min,
-                                 resolved.A_norm, m_nu)
+    gamma0, mu = config.resolved(instance).gamma0, instance.mu
+    gamma_min = min(gamma0, mu) if mu > 0 else gamma0
+    spec = decay_spec_for_solver(nu, mu, gamma0, gamma_min, instance.a_norm, m_nu)
     k_hi_default = min(100, trace[-1].k)
     k_lo, k_hi = window or (10, k_hi_default)
     raw = {r.k: envelope(spec, r.k) for r in trace}
@@ -284,12 +277,12 @@ def cmd_bounds(cfg, base_dir, out_dir):
     summary = {
         "nu": nu,
         "M_nu": m_nu,
-        "gamma0": resolved.gamma0,
+        "gamma0": gamma0,
         "gamma_min": gamma_min,
         "fit_window": [k_lo, k_hi],
         "fit_constant": scale,
         "precondition_issues": rate_bound_preconditions(
-            nu, mu, resolved.gamma0, resolved.A_norm, m_nu, resolved.M0),
+            nu, mu, gamma0, instance.a_norm, m_nu, config.M0),
     }
     try:
         summary["beta_slope"] = fit_rate(trace, "beta_k", k_lo, max(k_hi, k_lo + 1))

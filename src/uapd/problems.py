@@ -73,7 +73,8 @@ class ProblemInstance:
     ``g_spec`` is "zero" or "squared_l1_half".  ``known_saddle`` is
     ``(x*, lam*)`` when available (lam* empty for unconstrained problems)
     and enables Lyapunov diagnostics; ``known_optimum`` is f(x*) when
-    known.
+    known.  ``a_norm`` is ||A||, computed once here (0.0 when
+    unconstrained) and also published as ``metadata["a_norm"]``.
     """
 
     h_oracle: object
@@ -87,8 +88,11 @@ class ProblemInstance:
     differentiable: bool = False
     metadata: dict = field(default_factory=dict)
     K: object = None
+    a_norm: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        if not self.mu >= 0:
+            raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
         if self.g_spec not in ("zero", "squared_l1_half"):
             raise ValueError(f"unknown g_spec {self.g_spec!r}")
         if (self.A is None) != (self.b is None):
@@ -99,6 +103,8 @@ class ProblemInstance:
             m, n = self.A.shape
             if n != self.geometry.dimension or self.b.shape != (m,):
                 raise ValueError("constraint dimensions do not match the geometry")
+            self.a_norm = operator_norm(self.A)
+            self.metadata["a_norm"] = self.a_norm
 
     @property
     def constrained(self):
@@ -363,7 +369,6 @@ def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
             "m": m,
             "n": n,
             "seed": seed,
-            "a_norm": operator_norm(A),
             "x_true": None if x_true is None else np.asarray(x_true, dtype=float),
             "sparsity": sparsity,
         },
@@ -425,7 +430,6 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
             "mu": float(mu),
             "eig_min": float(eigs[0]),
             "lipschitz": float(eigs[-1]),
-            "a_norm": operator_norm(A),
             "H": H,
             "c": c,
         },

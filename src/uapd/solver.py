@@ -7,10 +7,11 @@ approximate curvature constant doubles on rejection and is never
 decreased across iterations, so nonsmooth and Hoelder-smooth objectives
 are handled by the same loop without knowing their smoothness level.
 
-Two tolerance policies are provided: the default shrinks the tolerance
-proportionally to the step-size parameter beta (no accuracy target is
+Two tolerance policies are provided: the paper's delta_k = beta_{k+1} /
+(k + 1) shrinks with the step-size parameter beta (no accuracy target is
 needed up front), while :func:`solve_fixed_tolerance` spends a fixed
-eps budget spread over iterations.
+eps budget spread over iterations.  mu and ||A|| are read from the
+instance; a caller chooses only what :class:`SolverConfig` holds.
 
 Every point is carried lifted, as (x, K x, A x - b) stacked by
 ``ProblemInstance.lift`` (K is the linear map inside h, if declared), so
@@ -35,9 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problems import operator_norm
-
 __all__ = [
+    "LINE_SEARCH_CAP",
     "SolverConfig",
     "SolverState",
     "InnerResult",
@@ -54,6 +54,10 @@ __all__ = [
     "trace_to_csv",
     "TRACE_COLUMNS",
 ]
+
+
+# Curvature doublings one iteration may try before LineSearchError.
+LINE_SEARCH_CAP = 60
 
 
 class SolverError(RuntimeError):
@@ -74,51 +78,32 @@ class LineSearchError(SolverError):
 
 @dataclass
 class SolverConfig:
-    """Tunable parameters; ``None`` means derive from the instance.
+    """What a caller chooses: the starting constants and the stopping rule.
 
-    gamma0 defaults to min(1, ||A||^2) for constrained problems and 1
-    otherwise.  mu and A_norm are taken from the instance when unset.
+    gamma0 = None means min(1, ||A||^2) for constrained problems and 1
+    otherwise, filled in by :meth:`resolved`.
     """
 
     gamma0: float | None = None
     M0: float = 1.0
-    mu: float | None = None
-    A_norm: float | None = None
-    delta_scale: float = 1.0
     max_iterations: int = 1000
     feasibility_target: float | None = None
     gap_target: float | None = None
-    line_search_cap: int = 60
 
     def __post_init__(self):
         if self.M0 <= 0:
             raise ValueError("M0 must be positive")
-        if self.delta_scale <= 0:
-            raise ValueError("delta_scale must be positive")
         if self.gamma0 is not None and self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive")
-        if self.mu is not None and self.mu < 0:
-            raise ValueError("mu must be nonnegative")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.line_search_cap < 1:
-            raise ValueError("line_search_cap must be at least 1")
 
     def resolved(self, instance):
-        """Fill instance-dependent defaults, returning a new config."""
-        a_norm = self.A_norm
-        if a_norm is None:
-            if instance.constrained:
-                a_norm = instance.metadata.get("a_norm")
-                if a_norm is None:
-                    a_norm = operator_norm(instance.A)
-            else:
-                a_norm = 0.0
-        gamma0 = self.gamma0
+        """A copy with the default gamma0 filled in from ``instance.a_norm``."""
+        gamma0, a_norm = self.gamma0, instance.a_norm
         if gamma0 is None:
             gamma0 = min(1.0, a_norm ** 2) if a_norm > 0 else 1.0
-        mu = instance.mu if self.mu is None else self.mu
-        return replace(self, gamma0=gamma0, mu=mu, A_norm=float(a_norm))
+        return replace(self, gamma0=gamma0)
 
 
 @dataclass
@@ -224,22 +209,19 @@ def initial_state(instance, config):
     )
 
 
-def inner_step(k, state, M_trial, instance, config, fixed_eps=None):
+def inner_step(k, state, M_trial, instance, fixed_eps=None):
     """Build the candidate step for one curvature trial.
 
     ``fixed_eps`` switches the tolerance from
-    delta_scale * beta_{k+1} / (k+1) to eps / (k+1).  Raises
+    beta_{k+1} / (k+1) to eps / (k+1).  Raises
     :class:`SolverError` when h(y) or the prox's linear term is
     non-finite, or when h(x_{k+1}) - model is; a non-finite prox output
     or h(x_{k+1}) always makes that difference non-finite.
     """
     beta, gamma = state.beta, state.gamma
-    alpha = math.sqrt(beta * gamma) / math.sqrt(beta * M_trial + config.A_norm ** 2)
+    alpha = math.sqrt(beta * gamma) / math.sqrt(beta * M_trial + instance.a_norm ** 2)
     beta_new = beta / (1.0 + alpha)
-    if fixed_eps is None:
-        delta = config.delta_scale * beta_new / (k + 1)
-    else:
-        delta = fixed_eps / (k + 1)
+    delta = (beta_new if fixed_eps is None else fixed_eps) / (k + 1)
 
     n, end = state.x.size, state.x_lift.size - instance.dual_dimension
     y_lift = _average(state.x_lift, state.v_lift, alpha)
@@ -256,7 +238,7 @@ def inner_step(k, state, M_trial, instance, config, fixed_eps=None):
                           f"(M = {M_trial:g})")
 
     # unchecked: the anchors are prox outputs or their convex combinations
-    v_lift = instance.lift(instance.geometry._prox(c, y, config.mu, state.v, gamma / alpha,
+    v_lift = instance.lift(instance.geometry._prox(c, y, instance.mu, state.v, gamma / alpha,
                                                    instance.g_spec))
     x_lift = _average(state.x_lift, v_lift, alpha)
     x_new = x_lift[:n]
@@ -272,7 +254,7 @@ def inner_step(k, state, M_trial, instance, config, fixed_eps=None):
     )
 
 
-def line_search(k, state, instance, config, fixed_eps=None):
+def line_search(k, state, instance, fixed_eps=None):
     """Double the curvature trial until the quadratic model holds.
 
     Returns ``(accepted, i_k, M_accepted)`` where i_k counts rejected
@@ -280,18 +262,18 @@ def line_search(k, state, instance, config, fixed_eps=None):
     the accepted sequence never decreases.
     """
     trials = []
-    for i in range(config.line_search_cap + 1):
+    for i in range(LINE_SEARCH_CAP + 1):
         M_trial = (2.0 ** i) * state.M
-        result = inner_step(k, state, M_trial, instance, config, fixed_eps=fixed_eps)
+        result = inner_step(k, state, M_trial, instance, fixed_eps=fixed_eps)
         if result.h_at_x - result.model <= result.delta / 2.0:
             return result, i, M_trial
         trials.append((M_trial, result.h_at_x, result.model, result.delta))
     raise LineSearchError(
-        f"line search exceeded {config.line_search_cap} doublings at iteration {k} "
+        f"line search exceeded {LINE_SEARCH_CAP} doublings at iteration {k} "
         f"(last M = {trials[-1][0]:g})", trials)
 
 
-def outer_update(state, accepted, M_accepted, instance, config):
+def outer_update(state, accepted, M_accepted, instance):
     """Advance the state with an accepted step."""
     alpha = accepted.alpha
     lam, residual = state.lam, _parts(instance, accepted.v_lift)[2]
@@ -304,7 +286,7 @@ def outer_update(state, accepted, M_accepted, instance, config):
         v_lift=accepted.v_lift,
         lam=lam,
         beta=accepted.beta_new,
-        gamma=(state.gamma + config.mu * alpha) / (1.0 + alpha),
+        gamma=(state.gamma + instance.mu * alpha) / (1.0 + alpha),
         M=M_accepted,
         alpha=alpha,
         delta=accepted.delta,
@@ -394,7 +376,11 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     per iterate including the starting point.  ``observer``, when
     given, is called as ``observer(k, state, accepted, i_k, new_state)``
     after every accepted step and sees full-precision intermediates.
+    ``fixed_eps``, when given, must be positive (see
+    :func:`solve_fixed_tolerance`).
     """
+    if fixed_eps is not None and not fixed_eps > 0:
+        raise ValueError(f"eps must be positive, got {fixed_eps!r}")
     config = (config or SolverConfig()).resolved(instance)
     state = initial_state(instance, config)
     saddle_terms = None if instance.known_saddle is None else _saddle_terms(instance)
@@ -402,8 +388,8 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     h_at_x0 = instance.h(*_parts(instance, state.x_lift)[:2])[0]
     trace = [_record(state, instance, 0, 0.0, h_at_x0, saddle_terms)]
     for k in range(config.max_iterations):
-        accepted, i_k, M_acc = line_search(k, state, instance, config, fixed_eps=fixed_eps)
-        new_state = outer_update(state, accepted, M_acc, instance, config)
+        accepted, i_k, M_acc = line_search(k, state, instance, fixed_eps=fixed_eps)
+        new_state = outer_update(state, accepted, M_acc, instance)
         new_state.line_search_total = state.line_search_total + i_k
         if observer is not None:
             observer(k, state, accepted, i_k, new_state)
@@ -418,8 +404,6 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
 
 def solve_fixed_tolerance(instance, config=None, eps=1e-3, observer=None):
     """Baseline policy spreading a fixed eps over iterations."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     return solve(instance, config, observer=observer, fixed_eps=eps)
 
 
@@ -437,8 +421,4 @@ def trace_to_csv(trace, path):
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for r in trace:
-            writer.writerow([
-                r.k, _fmt(r.f_residual), _fmt(r.feasibility), r.i_k, _fmt(r.M_k),
-                _fmt(r.alpha_k), _fmt(r.beta_k), _fmt(r.delta_k), _fmt(r.lyapunov),
-                _fmt(r.wall_time_s), _fmt(r.objective),
-            ])
+            writer.writerow([_fmt(getattr(r, c)) for c in TRACE_COLUMNS])

@@ -155,7 +155,7 @@ def random_query(geom, rng, nonsmooth="zero"):
     )
 
 
-def manual_inner_step(k, state, M_trial, instance, config, fixed_eps=None):
+def manual_inner_step(k, state, M_trial, instance, fixed_eps=None):
     """Textbook transcription of one inner trial, for equality checks.
 
     Returns a dict with every intermediate quantity; uses only the
@@ -163,11 +163,11 @@ def manual_inner_step(k, state, M_trial, instance, config, fixed_eps=None):
     recursions from their definitions.
     """
     beta, gamma = state.beta, state.gamma
-    A_norm2 = config.A_norm ** 2
+    A_norm2 = instance.a_norm ** 2
     alpha = math.sqrt(beta * gamma) / math.sqrt(beta * M_trial + A_norm2)
     beta_new = beta / (1.0 + alpha)
     if fixed_eps is None:
-        delta = config.delta_scale * beta_new / (k + 1)
+        delta = beta_new / (k + 1)
     else:
         delta = fixed_eps / (k + 1)
     y = (state.x + alpha * state.v) / (1.0 + alpha)
@@ -181,7 +181,7 @@ def manual_inner_step(k, state, M_trial, instance, config, fixed_eps=None):
     query = CompositeProxQuery(
         linear_term=linear,
         anchor_y=y,
-        mu=config.mu,
+        mu=instance.mu,
         anchor_v=state.v,
         rho=gamma / alpha,
         nonsmooth=instance.g_spec,

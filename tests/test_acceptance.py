@@ -175,7 +175,7 @@ def test_criterion_03_step_size_identity(benchmark_runs, contraction_run,
     total = 0
     for _, run in named:
         trace = run["trace"]
-        a2 = run["resolved"].A_norm ** 2
+        a2 = run["instance"].a_norm ** 2
         for k in range(1, len(trace)):
             prev, rec = trace[k - 1], trace[k]
             lhs = rec.alpha_k ** 2 * (prev.beta_k * rec.M_k + a2)
@@ -228,17 +228,17 @@ def test_criterion_06_rate_exponents(slope_run, domination_run):
     slope = analysis.fit_rate(slope_run["trace"], "beta_k", 100, 10 ** 4)
 
     run = domination_run
-    resolved = run["resolved"]
-    lip = run["instance"].metadata["lipschitz"]
-    gamma_min = min(resolved.gamma0, resolved.mu)
+    resolved, instance = run["resolved"], run["instance"]
+    lip = instance.metadata["lipschitz"]
+    gamma_min = min(resolved.gamma0, instance.mu)
     issues = analysis.rate_bound_preconditions(
-        1.0, resolved.mu, resolved.gamma0, resolved.A_norm, lip, resolved.M0)
+        1.0, instance.mu, resolved.gamma0, instance.a_norm, lip, resolved.M0)
     ratios = {}
     for rec in run["trace"]:
         if rec.k >= 1:
             bound = analysis.beta_rate_bound(
-                1.0, resolved.mu, resolved.gamma0, gamma_min,
-                resolved.A_norm, lip, rec.k)
+                1.0, instance.mu, resolved.gamma0, gamma_min,
+                instance.a_norm, lip, rec.k)
             ratios[rec.k] = rec.beta_k / bound
     fitted = max(v for k, v in ratios.items() if 10 <= k <= 100)
     tail_sup = max(v for k, v in ratios.items() if 100 <= k <= 10 ** 4)

@@ -267,8 +267,7 @@ def test_interpolated_beta_dominated_by_fitted_envelope():
     resolved = config.resolved(qp)
     lip = qp.metadata["lipschitz"]
     spec = analysis.decay_spec_for_solver(
-        1.0, resolved.mu, resolved.gamma0, min(resolved.gamma0, resolved.mu),
-        resolved.A_norm, lip)
+        1.0, qp.mu, resolved.gamma0, min(resolved.gamma0, qp.mu), qp.a_norm, lip)
     betas = [rec.beta_k for rec in sorted(trace, key=lambda rec: rec.k)]
     fitted = max(betas[k] / analysis.envelope(spec, float(k))
                  for k in range(100, 201))
@@ -286,7 +285,7 @@ def test_interpolated_beta_same_window_domination_unregularized():
     resolved = config.resolved(qp)
     lip = qp.metadata["lipschitz"]
     spec = analysis.decay_spec_for_solver(
-        1.0, 0.0, resolved.gamma0, resolved.gamma0, resolved.A_norm, lip)
+        1.0, 0.0, resolved.gamma0, resolved.gamma0, qp.a_norm, lip)
     betas = [rec.beta_k for rec in sorted(trace, key=lambda rec: rec.k)]
     fitted = max(betas[k] / analysis.envelope(spec, float(k))
                  for k in range(100, 501))

@@ -79,7 +79,7 @@ def test_solve_zero_budget_gives_initial_record_only(tmp_path):
 def test_solve_fixed_tolerance_variant(tmp_path):
     cfg = write_config(
         tmp_path / "run.json",
-        qp_config(variant={"name": "fixed_tolerance", "eps": 1e-3}))
+        qp_config(variant="fixed_tolerance", eps=1e-3))
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 0
     with open(tmp_path / "smoke_summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
@@ -128,9 +128,18 @@ def test_operator_norm_overflow_exits_2_with_one_error_line(tmp_path, capsys):
 
 
 def test_beta0_is_an_unknown_solver_field(tmp_path, capsys):
-    cfg = write_config(tmp_path / "run.json", qp_config(solver={"beta0": 1.0}))
+    # the paper fixes beta0, delta's scale and the cap; the instance owns mu and ||A||
+    for name in ("beta0", "mu", "A_norm", "delta_scale", "line_search_cap"):
+        cfg = write_config(tmp_path / "run.json", qp_config(solver={name: 1.0}))
+        assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown solver fields ['{name}']\n"
+    # a variant is spelled by its name only; a dict exits 2 like any unknown name
+    cfg = write_config(tmp_path / "run.json",
+                       qp_config(variant={"name": "fixed_tolerance", "eps": 1e-3}))
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
-    assert "unknown solver fields ['beta0']" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown variant") and err.count("\n") == 1
 
 
 def test_instance_document_missing_a_stored_field_exits_2(tmp_path, capsys):

@@ -138,8 +138,10 @@ def test_integrate_argument_validation():
 
 
 def test_default_gamma0_matches_the_solver_without_a_norm_metadata():
-    qp = problems.make_synthetic_qp(7, 3, mu=0.25, seed=17, a_norm=0.5)
-    del qp.metadata["a_norm"]
+    made = problems.make_synthetic_qp(7, 3, mu=0.25, seed=17, a_norm=0.5)
+    qp = ProblemInstance(h_oracle=made.h_oracle, K=made.K, g_spec="zero",
+                         geometry=made.geometry, A=made.A, b=made.b, mu=made.mu,
+                         known_saddle=made.known_saddle, differentiable=True)
     gamma0 = SolverConfig().resolved(qp).gamma0
     assert gamma0 == pytest.approx(0.25, rel=1e-12)  # min(1, 0.5^2)
     default = flow.integrate(qp, t_end=0.05, dt=0.01)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from uapd import problems
-from uapd.problems import (InstanceRecipe, instance_from_dict, instance_to_dict,
-                           load_instance, make_basis_pursuit, make_matrix_game,
+from uapd.geometry import EuclideanGeometry
+from uapd.problems import (InstanceRecipe, ProblemInstance, instance_from_dict,
+                           instance_to_dict, load_instance, make_basis_pursuit, make_matrix_game,
                            make_regularized_matrix_game, make_steiner,
                            make_synthetic_qp, operator_norm)
 from uapd.solver import SolverConfig, solve
@@ -220,6 +221,38 @@ def test_basis_pursuit_planted_solution_is_feasible():
 def test_basis_pursuit_metadata_norm():
     inst = make_basis_pursuit(6, 15, seed=11, sparsity=2)
     assert inst.metadata["a_norm"] == pytest.approx(np.linalg.norm(inst.A, 2), rel=1e-8)
+
+
+def test_operator_norm_runs_once_per_constrained_build_and_never_in_solve(monkeypatch):
+    calls = []
+
+    def counting(A, _norm=problems.operator_norm):
+        calls.append(A.shape)
+        return _norm(A)
+
+    monkeypatch.setattr(problems, "operator_norm", counting)
+    game = load_instance({"kind": "matrix_game", "m": 3, "n": 4, "seed": 1})
+    assert game.a_norm == 0.0 and "a_norm" not in game.metadata and calls == []
+    for recipe in ({"kind": "basis_pursuit", "m": 4, "n": 9, "seed": 2, "sparsity": 2},
+                   {"kind": "synthetic_qp", "m": 2, "n": 6, "mu": 0.5, "seed": 3}):
+        del calls[:]
+        inst = load_instance(recipe)
+        assert len(calls) == 1
+        assert inst.a_norm == operator_norm(inst.A) == inst.metadata["a_norm"]
+        clone = load_instance(instance_to_dict(inst))
+        assert len(calls) == 2 and clone.a_norm == inst.a_norm
+        SolverConfig().resolved(clone)
+        solve(inst, SolverConfig(max_iterations=5))
+        assert len(calls) == 2
+    with pytest.raises(TypeError):  # an attribute, not a constructor argument
+        ProblemInstance(h_oracle=None, g_spec="zero", geometry=game.geometry, a_norm=1.0)
+
+
+@pytest.mark.parametrize("mu", [-0.5, float("nan")], ids=["negative", "nan"])
+def test_instance_rejects_a_negative_or_nan_mu(mu):
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        ProblemInstance(h_oracle=lambda x: (0.0, np.zeros(3)), g_spec="zero",
+                        geometry=EuclideanGeometry(3), mu=mu)
 
 
 def test_basis_pursuit_argument_validation():

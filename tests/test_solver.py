@@ -1,6 +1,7 @@
 """Solver recursions: transcription equality, exact identities, traces."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from uapd.problems import (ProblemInstance, make_basis_pursuit, make_matrix_game
 from uapd.solver import (LineSearchError, SolverConfig, SolverError, initial_state,
                          inner_step, line_search, lyapunov, outer_update, solve,
                          solve_fixed_tolerance, trace_to_csv, TRACE_COLUMNS)
+
+from uapd import solver
 
 import helpers
 
@@ -42,11 +45,10 @@ def run(instance, iters, fixed_eps=None, **cfg):
 @pytest.mark.parametrize("fixed_eps", [None, 1e-3])
 def test_inner_step_matches_manual_transcription(fixed_eps):
     for instance in small_instances():
-        _, _, recorder, config = run(instance, 12, fixed_eps=fixed_eps)
+        _, _, recorder, _ = run(instance, 12, fixed_eps=fixed_eps)
         for k, state, accepted, i_k, new_state in recorder.steps:
             M_acc = new_state.M
-            want = helpers.manual_inner_step(k, state, M_acc, instance, config,
-                                             fixed_eps=fixed_eps)
+            want = helpers.manual_inner_step(k, state, M_acc, instance, fixed_eps=fixed_eps)
             assert accepted.alpha == pytest.approx(want["alpha"], rel=1e-14)
             assert accepted.beta_new == pytest.approx(want["beta_new"], rel=1e-14)
             assert accepted.delta == pytest.approx(want["delta"], rel=1e-14)
@@ -60,12 +62,12 @@ def test_inner_step_matches_manual_transcription(fixed_eps):
 
 def test_rejected_trials_really_fail_the_test():
     instance = make_matrix_game(5, 8, seed=5)
-    _, _, recorder, config = run(instance, 40)
+    _, _, recorder, _ = run(instance, 40)
     rejected = 0
     for k, state, accepted, i_k, new_state in recorder.steps:
         for i in range(i_k):
             M_trial = (2.0 ** i) * state.M
-            trial = helpers.manual_inner_step(k, state, M_trial, instance, config)
+            trial = helpers.manual_inner_step(k, state, M_trial, instance)
             assert not trial["accept"]
             rejected += 1
     assert rejected > 0  # a nu=0 objective must reject at least once in 40 steps
@@ -77,9 +79,9 @@ def test_rejected_trials_really_fail_the_test():
 
 def test_step_size_identity_every_iteration():
     for instance in small_instances():
-        _, _, recorder, config = run(instance, 60)
+        _, _, recorder, _ = run(instance, 60)
         for k, state, accepted, i_k, new_state in recorder.steps:
-            lhs = accepted.alpha ** 2 * (state.beta * new_state.M + config.A_norm ** 2)
+            lhs = accepted.alpha ** 2 * (state.beta * new_state.M + instance.a_norm ** 2)
             rhs = state.gamma * state.beta
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
@@ -88,7 +90,7 @@ def test_gamma_tracks_beta_exactly():
     for instance in small_instances():
         _, trace, _, config = run(instance, 60)
         for r in trace:
-            want = config.mu + (config.gamma0 - config.mu) * r.beta_k
+            want = instance.mu + (config.gamma0 - instance.mu) * r.beta_k
             assert r.gamma_k == pytest.approx(want, rel=1e-12)
 
 
@@ -117,9 +119,9 @@ def test_beta_recursion_and_monotone_m():
 
 def test_delta_follows_shrinking_policy():
     instance = make_synthetic_qp(7, 3, mu=0.0, seed=7)
-    _, trace, _, _ = run(instance, 30, delta_scale=0.5)
+    _, trace, _, _ = run(instance, 30)
     for r in trace[1:]:
-        assert r.delta_k == pytest.approx(0.5 * r.beta_k / r.k, rel=1e-14)
+        assert r.delta_k == pytest.approx(r.beta_k / r.k, rel=1e-14)
 
 
 def test_delta_fixed_tolerance_policy():
@@ -130,6 +132,18 @@ def test_delta_fixed_tolerance_policy():
         assert r.delta_k == pytest.approx(1e-2 / r.k, rel=1e-14)
     with pytest.raises(ValueError):
         solve_fixed_tolerance(instance, config, eps=0.0)
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve_fixed_tolerance"])
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_fixed_eps_must_be_positive_at_both_entry_points(entry, eps):
+    instance = make_synthetic_qp(7, 3, mu=0.0, seed=7)
+    config = SolverConfig(max_iterations=5)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        if entry == "solve":
+            solve(instance, config, fixed_eps=eps)
+        else:
+            solve_fixed_tolerance(instance, config, eps=eps)
 
 
 def test_dual_update_uses_new_point_while_inner_used_old():
@@ -212,7 +226,7 @@ def test_observer_sees_every_iteration_in_order():
 def test_unconstrained_instances_keep_empty_dual():
     instance = make_steiner(4, 3, seed=14)
     state, trace, recorder, config = run(instance, 20)
-    assert config.A_norm == 0.0 and config.gamma0 == 1.0
+    assert instance.a_norm == 0.0 and config.gamma0 == 1.0
     assert state.lam.shape == (0,)
     for k, st, accepted, _, new_state in recorder.steps:
         # with ||A|| = 0 the step size simplifies to sqrt(gamma / M)
@@ -238,7 +252,7 @@ def test_line_search_count_recorded():
     assert state.line_search_total > 0
 
 
-def test_line_search_cap_raises_with_trial_log():
+def test_line_search_cap_raises_with_trial_log(monkeypatch):
     # an oracle whose reported gradient is wildly wrong forces rejection
     n = 4
 
@@ -247,8 +261,9 @@ def test_line_search_cap_raises_with_trial_log():
 
     instance = ProblemInstance(h_oracle=lying_oracle, g_spec="zero",
                                geometry=EuclideanGeometry(n), differentiable=True)
+    monkeypatch.setattr(solver, "LINE_SEARCH_CAP", 3)
     with pytest.raises(LineSearchError) as err:
-        solve(instance, SolverConfig(max_iterations=1, line_search_cap=3))
+        solve(instance, SolverConfig(max_iterations=1))
     assert len(err.value.trials) == 4
     ms = [t[0] for t in err.value.trials]
     assert ms == [1.0, 2.0, 4.0, 8.0]
@@ -446,27 +461,26 @@ def test_trace_objective_is_objective_at_iterate():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(M0=0.0)
-    with pytest.raises(TypeError):
-        SolverConfig(beta0=2.0)
-    with pytest.raises(ValueError):
-        SolverConfig(delta_scale=0.0)
     with pytest.raises(ValueError):
         SolverConfig(gamma0=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(line_search_cap=0)
+    # the paper fixes beta0, delta's scale and the cap; the instance owns mu and ||A||
+    for name in ("beta0", "mu", "A_norm", "delta_scale", "line_search_cap"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: 1.0})
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "gamma0", "M0", "max_iterations", "feasibility_target", "gap_target"]
 
 
 def test_config_resolution_defaults():
     qp = make_synthetic_qp(7, 3, mu=0.25, seed=17, a_norm=0.5)
     resolved = SolverConfig().resolved(qp)
     assert resolved.gamma0 == pytest.approx(0.25, rel=1e-8)  # min(1, 0.5^2)
-    assert resolved.mu == 0.25
-    assert resolved.A_norm == pytest.approx(0.5, rel=1e-8)
+    assert qp.mu == 0.25
+    assert qp.a_norm == pytest.approx(0.5, rel=1e-8)
     game = make_matrix_game(3, 4, seed=18)
     resolved = SolverConfig().resolved(game)
-    assert resolved.gamma0 == 1.0 and resolved.A_norm == 0.0
-    explicit = SolverConfig(gamma0=0.125, mu=0.0, A_norm=2.0).resolved(qp)
-    assert explicit.gamma0 == 0.125 and explicit.mu == 0.0 and explicit.A_norm == 2.0
+    assert resolved.gamma0 == 1.0 and game.a_norm == 0.0
+    assert SolverConfig(gamma0=0.125).resolved(qp).gamma0 == 0.125
 
 
 # ---------------------------------------------------------------------------
