@@ -33,8 +33,7 @@ from .analysis import (decay_spec_for_solver, envelope, fit_rate,
                        rate_bound_preconditions)
 from .flow import integrate, trajectory_to_csv
 from .problems import load_instance
-from .solver import (SolverConfig, SolverError, _fmt, solve, solve_fixed_tolerance,
-                     trace_to_csv)
+from .solver import SolverConfig, SolverError, _fmt, solve, trace_to_csv
 
 __all__ = ["main", "ConfigError", "cmd_solve", "cmd_compare", "cmd_flow", "cmd_bounds"]
 
@@ -97,20 +96,25 @@ def _solver_config(cfg):
         raise ConfigError(f"bad solver section: {exc}") from exc
 
 
+def _fixed_eps(eps):
+    """``eps`` of the fixed_tolerance variant as a positive float, else ConfigError."""
+    if eps is None:
+        raise ConfigError("config is missing the field 'eps' "
+                          "(required by the fixed_tolerance variant)")
+    eps = float(_number(eps, "eps"))
+    if eps <= 0:
+        raise ConfigError("eps must be positive")
+    return eps
+
+
 def _variant(cfg):
+    """``solve``'s ``fixed_eps`` for the configured variant: None for "uapd"."""
     name, eps = cfg.get("variant", "uapd"), cfg.get("eps")
     if eps is not None:
         _number(eps, "eps")
     if name not in ("uapd", "fixed_tolerance"):
         raise ConfigError(f"unknown variant {name!r} (expected 'uapd' or 'fixed_tolerance')")
-    if name == "fixed_tolerance":
-        if eps is None:
-            raise ConfigError("config is missing the field 'eps' "
-                              "(required by the fixed_tolerance variant)")
-        eps = float(eps)
-        if eps <= 0:
-            raise ConfigError("eps must be positive")
-    return name, eps
+    return None if name == "uapd" else _fixed_eps(eps)
 
 
 def _out_path(out_dir, prefix, suffix):
@@ -118,19 +122,16 @@ def _out_path(out_dir, prefix, suffix):
     return os.path.join(out_dir, f"{prefix}_{suffix}")
 
 
-def _run(instance, config, name, eps):
+def _run(instance, config, eps):
     t0 = time.perf_counter()
-    if name == "fixed_tolerance":
-        state, trace = solve_fixed_tolerance(instance, config, eps=eps)
-    else:
-        state, trace = solve(instance, config)
+    state, trace = solve(instance, config, fixed_eps=eps)
     return state, trace, time.perf_counter() - t0
 
 
-def _summary(instance, state, trace, wall, name, eps):
+def _summary(cfg, instance, state, trace, wall, eps):
     last = trace[-1]
     out = {
-        "variant": name,
+        "variant": cfg.get("variant", "uapd"),
         "iterations": last.k,
         "objective": last.objective,
         "feasibility": last.feasibility,
@@ -143,20 +144,20 @@ def _summary(instance, state, trace, wall, name, eps):
         "instance_kind": instance.metadata.get("kind"),
         "seed": instance.metadata.get("seed"),
     }
-    if eps is not None:
-        out["eps"] = eps
+    if cfg.get("eps") is not None:  # a uapd run reports the eps it was given, unused
+        out["eps"] = cfg["eps"] if eps is None else eps
     return out
 
 
 def cmd_solve(cfg, base_dir, out_dir):
     instance = _resolve_instance(_require(cfg, "instance"), base_dir)
     config = _solver_config(cfg)
-    name, eps = _variant(cfg)
+    eps = _variant(cfg)
     prefix = cfg.get("output", "run")
-    state, trace, wall = _run(instance, config, name, eps)
+    state, trace, wall = _run(instance, config, eps)
     trace_to_csv(trace, _out_path(out_dir, prefix, "trace.csv"))
     with open(_out_path(out_dir, prefix, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(_summary(instance, state, trace, wall, name, eps), fh,
+        json.dump(_summary(cfg, instance, state, trace, wall, eps), fh,
                   indent=2, sort_keys=True)
         fh.write("\n")
     return 0
@@ -188,10 +189,10 @@ def _merged_rows(trace_a, trace_b):
 def cmd_compare(cfg, base_dir, out_dir):
     instance = _resolve_instance(_require(cfg, "instance"), base_dir)
     config = _solver_config(cfg)
-    _, eps = _variant({"variant": "fixed_tolerance", "eps": cfg.get("eps", 1e-3)})
+    eps = _fixed_eps(cfg.get("eps", 1e-3))
     prefix = cfg.get("output", "run")
-    state_u, trace_u, wall_u = _run(instance, config, "uapd", None)
-    state_b, trace_b, wall_b = _run(instance, config, "fixed_tolerance", eps)
+    state_u, trace_u, wall_u = _run(instance, config, None)
+    state_b, trace_b, wall_b = _run(instance, config, eps)
     path = _out_path(out_dir, prefix, "compare.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,f_UAPD,f_base,M_UAPD,M_base,ik_UAPD,ik_base\n")
@@ -257,7 +258,7 @@ def cmd_bounds(cfg, base_dir, out_dir):
     m_nu = _bounds_m_nu(section, instance)
     prefix = cfg.get("output", "run")
 
-    state, trace, _ = _run(instance, config, "uapd", None)
+    state, trace, _ = _run(instance, config, None)
     gamma0, mu = config.resolved(instance).gamma0, instance.mu
     gamma_min = min(gamma0, mu) if mu > 0 else gamma0
     spec = decay_spec_for_solver(nu, mu, gamma0, gamma_min, instance.a_norm, m_nu)

@@ -9,12 +9,11 @@ mirror maps, a reference starting point and the composite prox
 
     argmin_v  g(v) + <c, v> + mu * D(v, y) + rho * D(v, v_anchor)
 
-which every geometry solves in closed form.
+which every geometry solves in closed form for each g that its
+``nonsmooth`` attribute names; ``ProblemInstance`` checks g against it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "BregmanGeometry",
     "EuclideanGeometry",
     "EntropyGeometry",
-    "CompositeProxQuery",
     "three_term_residual",
 ]
 
@@ -40,22 +38,6 @@ def _check_vector(x, n, name):
     if x.ndim != 1 or x.shape[0] != n:
         raise ValueError(f"{name} must be a vector of length {n}, got shape {x.shape}")
     return x
-
-
-def _check_blocks(blocks, dimension):
-    blocks = tuple(int(b) for b in blocks)
-    if any(b <= 0 for b in blocks):
-        raise ValueError(f"block sizes must be positive, got {blocks}")
-    if sum(blocks) != dimension:
-        raise ValueError(f"block sizes {blocks} do not sum to dimension {dimension}")
-    return blocks
-
-
-def _block_slices(blocks):
-    start = 0
-    for b in blocks:
-        yield slice(start, start + b)
-        start += b
 
 
 def _xlogx(x):
@@ -111,24 +93,6 @@ def _prox_squared_l1(z, w):
     return np.sign(z) * np.maximum(u - tau, 0.0)
 
 
-@dataclass
-class CompositeProxQuery:
-    """One composite prox subproblem.
-
-    ``linear_term`` is the vector c, ``anchor_y`` carries weight ``mu``
-    (may be zero) and ``anchor_v`` carries weight ``rho`` (must be
-    positive).  ``nonsmooth`` selects g: "zero" or "squared_l1_half"
-    for g(v) = 0.5 * ||v||_1^2.
-    """
-
-    linear_term: np.ndarray
-    anchor_y: np.ndarray
-    mu: float
-    anchor_v: np.ndarray
-    rho: float
-    nonsmooth: str = "zero"
-
-
 class BregmanGeometry:
     """Interface shared by all geometries.
 
@@ -138,15 +102,38 @@ class BregmanGeometry:
         "euclidean" or "entropy".
     dimension : int
         Length of the vectors the geometry operates on.
+    domain : str
+        "reals", "nonneg" or "simplex" (a product of probability
+        simplices, one per entry of ``blocks``).
+    blocks : tuple of int or None
+        Block sizes of the simplex product; None for the other domains.
+    nonsmooth : tuple of str
+        The g the composite prox solves: "zero" for g = 0 and
+        "squared_l1_half" for g(v) = 0.5 * ||v||_1^2.
     """
 
     kind = "base"
+    nonsmooth = ("zero",)
 
-    def __init__(self, dimension):
+    def __init__(self, dimension, domain, blocks=None):
         dimension = int(dimension)
         if dimension <= 0:
             raise ValueError(f"dimension must be positive, got {dimension}")
         self.dimension = dimension
+        self.domain = domain
+        if domain == "simplex":
+            blocks = tuple(int(b) for b in (blocks if blocks is not None else (dimension,)))
+            if any(b <= 0 for b in blocks):
+                raise ValueError(f"block sizes must be positive, got {blocks}")
+            if sum(blocks) != dimension:
+                raise ValueError(f"block sizes {blocks} do not sum to dimension {dimension}")
+        elif blocks is not None:
+            raise ValueError("blocks are only meaningful for the simplex domain")
+        self.blocks = blocks
+        self._slices, start = [], 0  # one slice per simplex block
+        for b in blocks or ():
+            self._slices.append(slice(start, start + b))
+            start += b
 
     def grad(self, x):
         raise NotImplementedError
@@ -158,27 +145,38 @@ class BregmanGeometry:
         raise NotImplementedError
 
     def barycenter(self):
-        raise NotImplementedError
+        """The uniform point of each simplex block; the origin otherwise."""
+        out = np.zeros(self.dimension)
+        for sl in self._slices:
+            out[sl] = 1.0 / (sl.stop - sl.start)
+        return out
 
     def contains(self, x):
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,) or not np.all(np.isfinite(x)):
+            return False
+        if self.domain != "reals" and np.any(x < 0.0):
+            return False
+        return all(abs(float(x[sl].sum()) - 1.0) <= SIMPLEX_SUM_TOL for sl in self._slices)
 
-    def composite_prox(self, query):
-        """Checked prox: validates ``query``, then solves it with ``_prox``."""
-        c = _check_vector(query.linear_term, self.dimension, "linear_term")
-        y = _check_vector(query.anchor_y, self.dimension, "anchor_y")
-        v = _check_vector(query.anchor_v, self.dimension, "anchor_v")
-        if query.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {query.mu}")
-        if query.rho <= 0:
-            raise ValueError(f"rho must be positive, got {query.rho}")
-        if query.nonsmooth not in ("zero", "squared_l1_half"):
-            raise ValueError(f"unknown nonsmooth term {query.nonsmooth!r}")
-        self._check_prox_inputs(y, v, query.nonsmooth)
-        return self._prox(c, y, query.mu, v, query.rho, query.nonsmooth)
+    def composite_prox(self, c, y, mu, v, rho, nonsmooth="zero"):
+        """Checked prox: validates the arguments, then solves with ``_prox``.
 
-    def _check_prox_inputs(self, y, v, nonsmooth):
-        """Checks of the geometry's own; none by default."""
+        Returns argmin_v g(v) + <c, v> + mu * D(v, y) + rho * D(v, v_anchor)
+        for the anchors ``y`` (weight ``mu >= 0``) and ``v`` (weight
+        ``rho > 0``); ``nonsmooth`` names g and must be in ``self.nonsmooth``.
+        """
+        c = _check_vector(c, self.dimension, "c")
+        y = _check_vector(y, self.dimension, "y")
+        v = _check_vector(v, self.dimension, "v")
+        if not mu >= 0:
+            raise ValueError(f"mu must be nonnegative, got {mu}")
+        if not rho > 0:
+            raise ValueError(f"rho must be positive, got {rho}")
+        if nonsmooth not in self.nonsmooth:
+            raise ValueError(f"the {self.kind} prox on the {self.domain} domain does not "
+                             f"support the nonsmooth term {nonsmooth!r}")
+        return self._prox(c, y, mu, v, rho, nonsmooth)
 
     def _prox(self, c, y, mu, v, rho, nonsmooth):
         """The composite prox without input checks (the solver's hot path)."""
@@ -201,16 +199,11 @@ class EuclideanGeometry(BregmanGeometry):
     kind = "euclidean"
 
     def __init__(self, dimension, domain="reals", blocks=None):
-        super().__init__(dimension)
         if domain not in ("reals", "nonneg", "simplex"):
             raise ValueError(f"unknown domain {domain!r}")
-        self.domain = domain
-        if domain == "simplex":
-            self.blocks = _check_blocks(blocks if blocks is not None else (dimension,), dimension)
-        else:
-            if blocks is not None:
-                raise ValueError("blocks are only meaningful for the simplex domain")
-            self.blocks = None
+        super().__init__(dimension, domain, blocks)
+        if domain == "reals":
+            self.nonsmooth = ("zero", "squared_l1_half")
 
     def grad(self, x):
         return _check_vector(x, self.dimension, "x").copy()
@@ -226,7 +219,7 @@ class EuclideanGeometry(BregmanGeometry):
         if self.domain == "nonneg":
             return np.maximum(z, 0.0)
         out = np.empty_like(z)
-        for sl in _block_slices(self.blocks):
+        for sl in self._slices:
             out[sl] = _project_simplex(z[sl])
         return out
 
@@ -235,32 +228,6 @@ class EuclideanGeometry(BregmanGeometry):
         y = _check_vector(y, self.dimension, "y")
         d = x - y
         return 0.5 * float(d @ d)
-
-    def barycenter(self):
-        if self.domain == "simplex":
-            out = np.empty(self.dimension)
-            for sl in _block_slices(self.blocks):
-                out[sl] = 1.0 / (sl.stop - sl.start)
-            return out
-        return np.zeros(self.dimension)
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,) or not np.all(np.isfinite(x)):
-            return False
-        if self.domain == "nonneg":
-            return bool(np.all(x >= 0.0))
-        if self.domain == "simplex":
-            if np.any(x < 0.0):
-                return False
-            for sl in _block_slices(self.blocks):
-                if abs(float(x[sl].sum()) - 1.0) > SIMPLEX_SUM_TOL:
-                    return False
-        return True
-
-    def _check_prox_inputs(self, y, v, nonsmooth):
-        if nonsmooth == "squared_l1_half" and self.domain != "reals":
-            raise ValueError("squared_l1_half prox requires the full-space domain")
 
     def _prox(self, c, y, mu, v, rho, nonsmooth):
         s = mu + rho
@@ -291,9 +258,7 @@ class EntropyGeometry(BregmanGeometry):
     kind = "entropy"
 
     def __init__(self, dimension, blocks=None):
-        super().__init__(dimension)
-        self.blocks = _check_blocks(blocks if blocks is not None else (dimension,), dimension)
-        self._slices = tuple(_block_slices(self.blocks))
+        super().__init__(dimension, "simplex", blocks)
 
     def _check_nonneg(self, x, name):
         if np.any(x < 0):
@@ -307,7 +272,7 @@ class EntropyGeometry(BregmanGeometry):
     def grad_conj(self, w):
         w = _check_vector(w, self.dimension, "w")
         out = np.empty_like(w)
-        for sl in _block_slices(self.blocks):
+        for sl in self._slices:
             e = np.exp(w[sl] - w[sl].max())
             out[sl] = e / e.sum()
         return out
@@ -320,29 +285,13 @@ class EntropyGeometry(BregmanGeometry):
         kl = _xlogx(x) - x * _floored_log(y)
         return float(kl.sum() - x.sum() + y.sum())
 
-    def barycenter(self):
-        out = np.empty(self.dimension)
-        for sl in _block_slices(self.blocks):
-            out[sl] = 1.0 / (sl.stop - sl.start)
-        return out
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,) or not np.all(np.isfinite(x)):
-            return False
-        if np.any(x < 0.0):
-            return False
-        for sl in _block_slices(self.blocks):
-            if abs(float(x[sl].sum()) - 1.0) > SIMPLEX_SUM_TOL:
-                return False
-        return True
-
-    def _check_prox_inputs(self, y, v, nonsmooth):
-        if nonsmooth != "zero":
-            raise ValueError("entropy geometry only supports the zero nonsmooth term")
+    def composite_prox(self, c, y, mu, v, rho, nonsmooth="zero"):
+        """Checked prox (see the base class); the anchors must also be nonnegative."""
+        y = _check_vector(y, self.dimension, "y")
+        v = _check_vector(v, self.dimension, "v")
         if not np.minimum(y, v).min() >= 0:
-            raise ValueError("anchor_y or anchor_v has negative or NaN entries; "
-                             "outside the entropy domain")
+            raise ValueError("y or v has negative or NaN entries; outside the entropy domain")
+        return super().composite_prox(c, y, mu, v, rho, nonsmooth)
 
     def _prox(self, c, y, mu, v, rho, nonsmooth):
         s = mu + rho

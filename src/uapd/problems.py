@@ -70,7 +70,8 @@ class ProblemInstance:
     the gradient is a deterministic subgradient selection.  When h(x) =
     phi(x, K x) with K linear, ``K`` is the map x -> K x and ``h_oracle``
     takes ``(x, K x)``, so a caller holding the image skips the product.
-    ``g_spec`` is "zero" or "squared_l1_half".  ``known_saddle`` is
+    ``g_spec`` names g and must be one of ``geometry.nonsmooth``, the
+    g whose prox the geometry solves.  ``known_saddle`` is
     ``(x*, lam*)`` when available (lam* empty for unconstrained problems)
     and enables Lyapunov diagnostics; ``known_optimum`` is f(x*) when
     known.  ``a_norm`` is ||A||, computed once here (0.0 when
@@ -93,13 +94,17 @@ class ProblemInstance:
     def __post_init__(self):
         if not self.mu >= 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
-        if self.g_spec not in ("zero", "squared_l1_half"):
-            raise ValueError(f"unknown g_spec {self.g_spec!r}")
+        if self.g_spec not in self.geometry.nonsmooth:
+            raise ValueError(f"g_spec {self.g_spec!r} is not one of the nonsmooth terms "
+                             f"{self.geometry.nonsmooth} that the geometry's prox solves")
         if (self.A is None) != (self.b is None):
             raise ValueError("A and b must both be given or both be absent")
         if self.A is not None:
             self.A = np.asarray(self.A, dtype=float)
             self.b = np.asarray(self.b, dtype=float)
+            for name in ("A", "b"):
+                if not np.isfinite(getattr(self, name)).all():
+                    raise ValueError(f"{name} has non-finite entries")
             m, n = self.A.shape
             if n != self.geometry.dimension or self.b.shape != (m,):
                 raise ValueError("constraint dimensions do not match the geometry")

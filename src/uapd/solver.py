@@ -9,8 +9,8 @@ are handled by the same loop without knowing their smoothness level.
 
 Two tolerance policies are provided: the paper's delta_k = beta_{k+1} /
 (k + 1) shrinks with the step-size parameter beta (no accuracy target is
-needed up front), while :func:`solve_fixed_tolerance` spends a fixed
-eps budget spread over iterations.  mu and ||A|| are read from the
+needed up front), while ``solve(..., fixed_eps=eps)`` spreads a fixed
+eps over iterations as eps / (k + 1).  mu and ||A|| are read from the
 instance; a caller chooses only what :class:`SolverConfig` holds.
 
 Every point is carried lifted, as (x, K x, A x - b) stacked by
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -49,7 +50,6 @@ __all__ = [
     "line_search",
     "outer_update",
     "solve",
-    "solve_fixed_tolerance",
     "lyapunov",
     "trace_to_csv",
     "TRACE_COLUMNS",
@@ -91,12 +91,18 @@ class SolverConfig:
     gap_target: float | None = None
 
     def __post_init__(self):
-        if self.M0 <= 0:
+        if not self.M0 > 0:
             raise ValueError("M0 must be positive")
-        if self.gamma0 is not None and self.gamma0 <= 0:
+        if self.gamma0 is not None and not self.gamma0 > 0:
             raise ValueError("gamma0 must be positive")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
+        for name in ("feasibility_target", "gap_target"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be None or nonnegative, got {value!r}")
 
     def resolved(self, instance):
         """A copy with the default gamma0 filled in from ``instance.a_norm``."""
@@ -133,8 +139,9 @@ class SolverState:
 
 @dataclass
 class InnerResult:
-    """Candidate step built by one line-search trial."""
+    """Candidate step built by one line-search trial at curvature ``M``."""
 
+    M: float
     y: np.ndarray
     x: np.ndarray
     v: np.ndarray
@@ -237,7 +244,8 @@ def inner_step(k, state, M_trial, instance, fixed_eps=None):
         raise SolverError(f"non-finite h(y) or prox linear term at iteration {k} "
                           f"(M = {M_trial:g})")
 
-    # unchecked: the anchors are prox outputs or their convex combinations
+    # unchecked: the anchors are prox outputs or their convex combinations, and
+    # the instance checked at construction that the geometry's prox solves its g
     v_lift = instance.lift(instance.geometry._prox(c, y, instance.mu, state.v, gamma / alpha,
                                                    instance.g_spec))
     x_lift = _average(state.x_lift, v_lift, alpha)
@@ -250,31 +258,32 @@ def inner_step(k, state, M_trial, instance, fixed_eps=None):
 
     return InnerResult(
         y=y, x=x_new, v=v_lift[:n], x_lift=x_lift, v_lift=v_lift, lam=lam_tilde,
-        alpha=alpha, beta_new=beta_new, delta=delta, model=model, h_at_x=h_x,
+        M=M_trial, alpha=alpha, beta_new=beta_new, delta=delta, model=model, h_at_x=h_x,
     )
 
 
 def line_search(k, state, instance, fixed_eps=None):
     """Double the curvature trial until the quadratic model holds.
 
-    Returns ``(accepted, i_k, M_accepted)`` where i_k counts rejected
-    doublings.  The warm start is the previously accepted constant, so
-    the accepted sequence never decreases.
+    Returns ``(accepted, i_k)`` where i_k counts rejected doublings and
+    ``accepted.M`` is the accepted constant.  The warm start is the
+    previously accepted constant, so the accepted sequence never
+    decreases.
     """
     trials = []
     for i in range(LINE_SEARCH_CAP + 1):
         M_trial = (2.0 ** i) * state.M
         result = inner_step(k, state, M_trial, instance, fixed_eps=fixed_eps)
         if result.h_at_x - result.model <= result.delta / 2.0:
-            return result, i, M_trial
+            return result, i
         trials.append((M_trial, result.h_at_x, result.model, result.delta))
     raise LineSearchError(
         f"line search exceeded {LINE_SEARCH_CAP} doublings at iteration {k} "
         f"(last M = {trials[-1][0]:g})", trials)
 
 
-def outer_update(state, accepted, M_accepted, instance):
-    """Advance the state with an accepted step."""
+def outer_update(state, accepted, i_k, instance):
+    """Advance the state with a step accepted after ``i_k`` rejected trials."""
     alpha = accepted.alpha
     lam, residual = state.lam, _parts(instance, accepted.v_lift)[2]
     if residual is not None:
@@ -287,11 +296,11 @@ def outer_update(state, accepted, M_accepted, instance):
         lam=lam,
         beta=accepted.beta_new,
         gamma=(state.gamma + instance.mu * alpha) / (1.0 + alpha),
-        M=M_accepted,
+        M=accepted.M,
         alpha=alpha,
         delta=accepted.delta,
         k=state.k + 1,
-        line_search_total=state.line_search_total,
+        line_search_total=state.line_search_total + i_k,
     )
 
 
@@ -376,8 +385,9 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     per iterate including the starting point.  ``observer``, when
     given, is called as ``observer(k, state, accepted, i_k, new_state)``
     after every accepted step and sees full-precision intermediates.
-    ``fixed_eps``, when given, must be positive (see
-    :func:`solve_fixed_tolerance`).
+    ``fixed_eps``, when given, must be positive: the tolerance is then
+    eps / (k + 1), the fixed-tolerance baseline, instead of the paper's
+    beta_{k+1} / (k + 1).
     """
     if fixed_eps is not None and not fixed_eps > 0:
         raise ValueError(f"eps must be positive, got {fixed_eps!r}")
@@ -388,9 +398,8 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     h_at_x0 = instance.h(*_parts(instance, state.x_lift)[:2])[0]
     trace = [_record(state, instance, 0, 0.0, h_at_x0, saddle_terms)]
     for k in range(config.max_iterations):
-        accepted, i_k, M_acc = line_search(k, state, instance, fixed_eps=fixed_eps)
-        new_state = outer_update(state, accepted, M_acc, instance)
-        new_state.line_search_total = state.line_search_total + i_k
+        accepted, i_k = line_search(k, state, instance, fixed_eps=fixed_eps)
+        new_state = outer_update(state, accepted, i_k, instance)
         if observer is not None:
             observer(k, state, accepted, i_k, new_state)
         state = new_state
@@ -400,11 +409,6 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
         if _targets_met(rec, config):
             break
     return state, trace
-
-
-def solve_fixed_tolerance(instance, config=None, eps=1e-3, observer=None):
-    """Baseline policy spreading a fixed eps over iterations."""
-    return solve(instance, config, observer=observer, fixed_eps=eps)
 
 
 def _fmt(value):

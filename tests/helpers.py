@@ -9,10 +9,25 @@ solver step.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from uapd.geometry import CompositeProxQuery
+
+class ProxQuery(NamedTuple):
+    """One composite prox subproblem, fields in ``composite_prox``'s argument order.
+
+    ``linear_term`` is c, ``anchor_y`` carries weight ``mu`` and
+    ``anchor_v`` carries weight ``rho``; ``geom.composite_prox(*query)``
+    solves it.
+    """
+
+    linear_term: np.ndarray
+    anchor_y: np.ndarray
+    mu: float
+    anchor_v: np.ndarray
+    rho: float
+    nonsmooth: str = "zero"
 
 
 def block_slices(blocks):
@@ -145,7 +160,7 @@ def random_point(geom, rng):
 
 
 def random_query(geom, rng, nonsmooth="zero"):
-    return CompositeProxQuery(
+    return ProxQuery(
         linear_term=rng.standard_normal(geom.dimension),
         anchor_y=random_point(geom, rng),
         mu=float(rng.uniform(0.0, 2.0)),
@@ -178,15 +193,8 @@ def manual_inner_step(k, state, M_trial, instance, fixed_eps=None):
         linear = linear + instance.A.T @ lam_tilde
     else:
         lam_tilde = state.lam
-    query = CompositeProxQuery(
-        linear_term=linear,
-        anchor_y=y,
-        mu=instance.mu,
-        anchor_v=state.v,
-        rho=gamma / alpha,
-        nonsmooth=instance.g_spec,
-    )
-    v_new = instance.geometry.composite_prox(query)
+    v_new = instance.geometry.composite_prox(linear, y, instance.mu, state.v, gamma / alpha,
+                                             instance.g_spec)
     x_new = (state.x + alpha * v_new) / (1.0 + alpha)
     diff = x_new - y
     model = h_y + float(grad_y @ diff) + 0.5 * M_trial * float(diff @ diff)

@@ -16,7 +16,7 @@ import conftest
 import helpers
 from uapd import analysis, flow, problems, solver
 from uapd.geometry import EntropyGeometry, EuclideanGeometry, three_term_residual
-from uapd.solver import SolverConfig, solve, solve_fixed_tolerance
+from uapd.solver import SolverConfig, solve
 
 
 def report(number, name, ok, detail):
@@ -101,8 +101,7 @@ def game_variant_runs():
     game = problems.make_matrix_game(30, 60, seed=25)
     t0 = time.perf_counter()
     _, trace_u = solve(game, SolverConfig(max_iterations=1001))
-    _, trace_f = solve_fixed_tolerance(game, SolverConfig(max_iterations=1000),
-                                       eps=1e-5)
+    _, trace_f = solve(game, SolverConfig(max_iterations=1000), fixed_eps=1e-5)
     return {"instance": game, "trace_uapd": trace_u, "trace_fixed": trace_f,
             "eps": 1e-5, "elapsed": time.perf_counter() - t0}
 
@@ -156,7 +155,7 @@ def test_criterion_02_prox_oracles():
     for _, geom, nonsmooth, oracle in cases:
         for _ in range(200):
             query = helpers.random_query(geom, rng, nonsmooth=nonsmooth)
-            got = geom.composite_prox(query)
+            got = geom.composite_prox(*query)
             worst = max(worst, float(np.max(np.abs(got - oracle(query)))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from uapd.geometry import (CompositeProxQuery, EntropyGeometry, EuclideanGeometry,
-                           three_term_residual)
+from uapd.geometry import EntropyGeometry, EuclideanGeometry, three_term_residual
 
 import helpers
 
@@ -142,7 +141,7 @@ def test_euclidean_reals_prox_matches_one_step_solution():
     geom = EuclideanGeometry(6)
     for _ in range(20):
         q = helpers.random_query(geom, rng)
-        got = geom.composite_prox(q)
+        got = geom.composite_prox(*q)
         want = helpers.euclidean_prox_pg(q, "reals", None)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -152,7 +151,7 @@ def test_euclidean_nonneg_prox_matches_pg_oracle():
     geom = EuclideanGeometry(6, domain="nonneg")
     for _ in range(20):
         q = helpers.random_query(geom, rng)
-        got = geom.composite_prox(q)
+        got = geom.composite_prox(*q)
         want = helpers.euclidean_prox_pg(q, "nonneg", None)
         assert np.max(np.abs(got - want)) < 1e-8
 
@@ -162,7 +161,7 @@ def test_euclidean_simplex_prox_matches_pg_oracle():
     geom = EuclideanGeometry(7, domain="simplex", blocks=(3, 4))
     for _ in range(20):
         q = helpers.random_query(geom, rng)
-        got = geom.composite_prox(q)
+        got = geom.composite_prox(*q)
         want = helpers.euclidean_prox_pg(q, "simplex", (3, 4))
         assert np.max(np.abs(got - want)) < 1e-8
         assert geom.contains(got)
@@ -173,7 +172,7 @@ def test_entropy_prox_matches_multiplier_bisection():
     geom = EntropyGeometry(7, blocks=(3, 4))
     for _ in range(20):
         q = helpers.random_query(geom, rng)
-        got = geom.composite_prox(q)
+        got = geom.composite_prox(*q)
         want = helpers.entropy_prox_bisect(q, (3, 4))
         assert np.max(np.abs(got - want)) < 1e-10
         assert geom.contains(got)
@@ -183,7 +182,7 @@ def test_prox_minimizes_objective_against_random_candidates():
     rng = np.random.default_rng(8)
     for geom in all_geometries():
         q = helpers.random_query(geom, rng)
-        v_star = geom.composite_prox(q)
+        v_star = geom.composite_prox(*q)
         best = helpers.prox_objective(geom, q, v_star)
         for _ in range(50):
             cand = helpers.random_point(geom, rng)
@@ -195,35 +194,29 @@ def test_squared_l1_prox_matches_threshold_bisection():
     geom = EuclideanGeometry(8)
     for _ in range(30):
         q = helpers.random_query(geom, rng, nonsmooth="squared_l1_half")
-        got = geom.composite_prox(q)
+        got = geom.composite_prox(*q)
         want = helpers.squared_l1_prox_bisect(q)
         assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_squared_l1_prox_one_dimensional_closed_form():
     geom = EuclideanGeometry(1)
-    q = CompositeProxQuery(linear_term=np.array([-3.0]), anchor_y=np.zeros(1),
-                           mu=0.0, anchor_v=np.zeros(1), rho=2.0,
-                           nonsmooth="squared_l1_half")
     # minimize 0.5 v^2 + c v + (rho/2) v^2 -> z = -c/rho = 1.5, v = z/(1 + 1/rho)
-    got = geom.composite_prox(q)
+    got = geom.composite_prox(np.array([-3.0]), np.zeros(1), 0.0, np.zeros(1), 2.0,
+                              "squared_l1_half")
     assert got[0] == pytest.approx(1.5 / (1.0 + 0.5), rel=1e-12)
 
 
 def test_squared_l1_prox_zero_input_gives_zero():
     geom = EuclideanGeometry(4)
-    q = CompositeProxQuery(linear_term=np.zeros(4), anchor_y=np.zeros(4),
-                           mu=1.0, anchor_v=np.zeros(4), rho=1.0,
-                           nonsmooth="squared_l1_half")
-    assert np.all(geom.composite_prox(q) == 0.0)
+    zero = np.zeros(4)
+    assert np.all(geom.composite_prox(zero, zero, 1.0, zero, 1.0, "squared_l1_half") == 0.0)
 
 
 def test_squared_l1_prox_sparsifies_small_entries():
     geom = EuclideanGeometry(3)
-    q = CompositeProxQuery(linear_term=np.array([-10.0, -0.1, 0.1]),
-                           anchor_y=np.zeros(3), mu=0.0, anchor_v=np.zeros(3),
-                           rho=1.0, nonsmooth="squared_l1_half")
-    out = geom.composite_prox(q)
+    out = geom.composite_prox(np.array([-10.0, -0.1, 0.1]), np.zeros(3), 0.0, np.zeros(3),
+                              1.0, "squared_l1_half")
     assert out[0] > 0 and out[1] == 0.0 and out[2] == 0.0
 
 
@@ -233,16 +226,17 @@ def test_squared_l1_prox_sparsifies_small_entries():
 
 def test_query_validation_errors():
     geom = EuclideanGeometry(3)
-    ok = dict(linear_term=np.zeros(3), anchor_y=np.zeros(3), mu=0.0,
-              anchor_v=np.zeros(3), rho=1.0)
+    ok = dict(c=np.zeros(3), y=np.zeros(3), mu=0.0, v=np.zeros(3), rho=1.0)
+    for rho in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="rho"):
+            geom.composite_prox(**{**ok, "rho": rho})
+    for mu in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="mu"):
+            geom.composite_prox(**{**ok, "mu": mu})
     with pytest.raises(ValueError):
-        geom.composite_prox(CompositeProxQuery(**{**ok, "rho": 0.0}))
+        geom.composite_prox(**ok, nonsmooth="l1")
     with pytest.raises(ValueError):
-        geom.composite_prox(CompositeProxQuery(**{**ok, "mu": -1.0}))
-    with pytest.raises(ValueError):
-        geom.composite_prox(CompositeProxQuery(**{**ok, "nonsmooth": "l1"}))
-    with pytest.raises(ValueError):
-        geom.composite_prox(CompositeProxQuery(**{**ok, "linear_term": np.zeros(4)}))
+        geom.composite_prox(**{**ok, "c": np.zeros(4)})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
@@ -252,29 +246,35 @@ def test_threshold_proxes_reject_non_finite_input(bad):
     reals = EuclideanGeometry(4)
     for geom, nonsmooth in ((simplex, "zero"), (reals, "squared_l1_half")):
         for linear_term in (np.array([0.5, bad, -1.0, 2.0]), np.full(4, bad)):
-            q = CompositeProxQuery(linear_term=linear_term,
-                                   anchor_y=geom.barycenter(), mu=0.0,
-                                   anchor_v=geom.barycenter(), rho=1.0,
-                                   nonsmooth=nonsmooth)
+            x0 = geom.barycenter()
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValueError, match="non-finite input"):
-                geom.composite_prox(q)
+                geom.composite_prox(linear_term, x0, 0.0, x0, 1.0, nonsmooth)
 
 
 def test_squared_l1_requires_full_space():
-    geom = EuclideanGeometry(3, domain="nonneg")
-    q = CompositeProxQuery(linear_term=np.zeros(3), anchor_y=np.zeros(3), mu=0.0,
-                           anchor_v=np.zeros(3), rho=1.0, nonsmooth="squared_l1_half")
-    with pytest.raises(ValueError):
-        geom.composite_prox(q)
+    x0 = np.ones(3) / 3
+    for geom in (EuclideanGeometry(3, domain="nonneg"), EuclideanGeometry(3, domain="simplex")):
+        assert geom.nonsmooth == ("zero",)
+        with pytest.raises(ValueError, match="does not support the nonsmooth term"):
+            geom.composite_prox(np.zeros(3), x0, 0.0, x0, 1.0, "squared_l1_half")
+    assert EuclideanGeometry(3).nonsmooth == ("zero", "squared_l1_half")
 
 
 def test_entropy_rejects_nonzero_nonsmooth():
+    geom, x0 = EntropyGeometry(3), np.ones(3) / 3
+    assert geom.nonsmooth == ("zero",)
+    with pytest.raises(ValueError, match="does not support the nonsmooth term"):
+        geom.composite_prox(np.zeros(3), x0, 0.0, x0, 1.0, "squared_l1_half")
+
+
+@pytest.mark.parametrize("bad", [-0.1, float("nan")])
+def test_entropy_prox_rejects_anchors_outside_the_domain(bad):
     geom = EntropyGeometry(3)
-    q = CompositeProxQuery(linear_term=np.zeros(3), anchor_y=np.ones(3) / 3, mu=0.0,
-                           anchor_v=np.ones(3) / 3, rho=1.0, nonsmooth="squared_l1_half")
-    with pytest.raises(ValueError):
-        geom.composite_prox(q)
+    ok, out = np.ones(3) / 3, np.array([0.5, 0.6, bad])
+    for y, v in ((out, ok), (ok, out)):
+        with pytest.raises(ValueError, match="outside the entropy domain"):
+            geom.composite_prox(np.zeros(3), y, 0.5, v, 1.0)
 
 
 def test_bad_constructor_arguments():

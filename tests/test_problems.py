@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uapd import problems
-from uapd.geometry import EuclideanGeometry
+from uapd.geometry import EntropyGeometry, EuclideanGeometry
 from uapd.problems import (InstanceRecipe, ProblemInstance, instance_from_dict,
                            instance_to_dict, load_instance, make_basis_pursuit, make_matrix_game,
                            make_regularized_matrix_game, make_steiner,
@@ -253,6 +253,40 @@ def test_instance_rejects_a_negative_or_nan_mu(mu):
     with pytest.raises(ValueError, match="mu must be nonnegative"):
         ProblemInstance(h_oracle=lambda x: (0.0, np.zeros(3)), g_spec="zero",
                         geometry=EuclideanGeometry(3), mu=mu)
+
+
+@pytest.mark.parametrize("geometry", [EntropyGeometry(6, blocks=(2, 4)), EuclideanGeometry(6),
+                                      EuclideanGeometry(6, domain="nonneg"),
+                                      EuclideanGeometry(6, domain="simplex", blocks=(2, 4))],
+                         ids=["entropy", "reals", "nonneg", "simplex"])
+def test_instance_rejects_a_g_its_geometry_has_no_prox_for(geometry):
+    # closed-form proxes exist for g = 0 on every geometry and for
+    # g = 0.5 ||x||_1^2 on the Euclidean full space only
+    full_space = geometry.kind == "euclidean" and geometry.domain == "reals"
+    for g_spec in ("zero", "squared_l1_half", "l1"):
+        def build():
+            return ProblemInstance(h_oracle=lambda x: (0.0, np.zeros(6)), g_spec=g_spec,
+                                   geometry=geometry)
+        if g_spec == "zero" or (g_spec == "squared_l1_half" and full_space):
+            assert build().g_spec == g_spec
+        else:
+            with pytest.raises(ValueError, match=f"g_spec '{g_spec}'"):
+                build()
+    for entry in DOCUMENTS:  # every kind's recipe pairs its g with a geometry that has the prox
+        InstanceRecipe.from_dict(entry["recipe"]).generate()
+    make_matrix_game(3, 4, seed=0, geometry="euclidean")
+
+
+@pytest.mark.parametrize("field", ["A", "b"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_instance_rejects_non_finite_constraint_data(field, bad):
+    for inst in (make_basis_pursuit(4, 9, seed=2, sparsity=2),
+                 make_synthetic_qp(6, 2, mu=0.5, seed=3)):
+        doc = instance_to_dict(inst)
+        row = doc[field][0] if field == "A" else doc[field]
+        row[1] = bad
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
+            instance_from_dict(doc)
 
 
 def test_basis_pursuit_argument_validation():

@@ -12,8 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from uapd.geometry import (CompositeProxQuery, EntropyGeometry, EuclideanGeometry,
-                           three_term_residual)
+from uapd.geometry import EntropyGeometry, EuclideanGeometry, three_term_residual
 from uapd.problems import (instance_from_dict, instance_to_dict, make_basis_pursuit,
                            make_matrix_game, make_regularized_matrix_game,
                            make_steiner, make_synthetic_qp)
@@ -56,7 +55,7 @@ def points(draw, geom):
 
 @st.composite
 def queries(draw, geom, nonsmooth="zero"):
-    return CompositeProxQuery(
+    return helpers.ProxQuery(
         linear_term=draw(vectors(geom.dimension, -10.0, 10.0)),
         anchor_y=draw(points(geom)),
         mu=draw(st.floats(0.0, 2.0)),
@@ -75,7 +74,7 @@ def assert_close(got, want, rel):
 def test_euclidean_prox_matches_projected_gradient(data):
     geom = data.draw(geometries(kinds=("reals", "nonneg", "simplex")))
     q = data.draw(queries(geom))
-    got = geom.composite_prox(q)
+    got = geom.composite_prox(*q)
     # the 1/(mu + rho) step of the oracle lands on the minimizer in one
     # step up to rounding, which may keep its 1e-15 stop rule from firing
     want = helpers.euclidean_prox_pg(q, geom.domain, getattr(geom, "blocks", None),
@@ -89,7 +88,7 @@ def test_euclidean_prox_matches_projected_gradient(data):
 def test_entropy_prox_matches_multiplier_bisection(data):
     geom = data.draw(geometries(kinds=("entropy",)))
     q = data.draw(queries(geom))
-    got = geom.composite_prox(q)
+    got = geom.composite_prox(*q)
     assert_close(got, helpers.entropy_prox_bisect(q, geom.blocks), 1e-10)
     assert geom.contains(got)
 
@@ -99,7 +98,7 @@ def test_entropy_prox_matches_multiplier_bisection(data):
 def test_squared_l1_prox_matches_threshold_bisection(data):
     geom = data.draw(geometries(kinds=("reals",)))
     q = data.draw(queries(geom, nonsmooth="squared_l1_half"))
-    assert_close(geom.composite_prox(q), helpers.squared_l1_prox_bisect(q), 1e-9)
+    assert_close(geom.composite_prox(*q), helpers.squared_l1_prox_bisect(q), 1e-9)
 
 
 @PROPERTY

@@ -2,19 +2,20 @@
 
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from uapd.geometry import (LOG_FLOOR, CompositeProxQuery, EntropyGeometry,
-                           EuclideanGeometry)
-from uapd.problems import (ProblemInstance, make_basis_pursuit, make_matrix_game,
-                           make_regularized_matrix_game, make_steiner,
+from uapd.cli import main
+from uapd.geometry import LOG_FLOOR, EntropyGeometry, EuclideanGeometry
+from uapd.problems import (ProblemInstance, load_instance, make_basis_pursuit,
+                           make_matrix_game, make_regularized_matrix_game, make_steiner,
                            make_synthetic_qp)
 from uapd.solver import (LineSearchError, SolverConfig, SolverError, initial_state,
                          inner_step, line_search, lyapunov, outer_update, solve,
-                         solve_fixed_tolerance, trace_to_csv, TRACE_COLUMNS)
+                         trace_to_csv, TRACE_COLUMNS)
 
 from uapd import solver
 
@@ -127,23 +128,25 @@ def test_delta_follows_shrinking_policy():
 def test_delta_fixed_tolerance_policy():
     instance = make_synthetic_qp(7, 3, mu=0.0, seed=7)
     config = SolverConfig(max_iterations=30)
-    _, trace = solve_fixed_tolerance(instance, config, eps=1e-2)
+    _, trace = solve(instance, config, fixed_eps=1e-2)
     for r in trace[1:]:
         assert r.delta_k == pytest.approx(1e-2 / r.k, rel=1e-14)
-    with pytest.raises(ValueError):
-        solve_fixed_tolerance(instance, config, eps=0.0)
 
 
-@pytest.mark.parametrize("entry", ["solve", "solve_fixed_tolerance"])
+@pytest.mark.parametrize("entry", ["solve", "cli"])
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
-def test_fixed_eps_must_be_positive_at_both_entry_points(entry, eps):
-    instance = make_synthetic_qp(7, 3, mu=0.0, seed=7)
-    config = SolverConfig(max_iterations=5)
-    with pytest.raises(ValueError, match="eps must be positive"):
-        if entry == "solve":
-            solve(instance, config, fixed_eps=eps)
-        else:
-            solve_fixed_tolerance(instance, config, eps=eps)
+def test_fixed_eps_must_be_positive_at_both_entry_points(entry, eps, tmp_path, capsys):
+    recipe = {"kind": "synthetic_qp", "n": 7, "m": 3, "mu": 0.0, "seed": 7}
+    if entry == "solve":
+        with pytest.raises(ValueError, match="eps must be positive"):
+            solve(load_instance(recipe), SolverConfig(max_iterations=5), fixed_eps=eps)
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"instance": recipe, "variant": "fixed_tolerance",
+                                    "eps": eps}), encoding="utf-8")
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eps" in err
 
 
 def test_dual_update_uses_new_point_while_inner_used_old():
@@ -422,9 +425,7 @@ def test_unchecked_prox_equals_composite_prox_on_solver_queries(instance):
     del geometry._prox
     assert len(seen) >= 60
     for (c, y, mu, v, rho, nonsmooth), out in seen:
-        query = CompositeProxQuery(linear_term=c, anchor_y=y, mu=mu, anchor_v=v, rho=rho,
-                                   nonsmooth=nonsmooth)
-        assert np.array_equal(geometry.composite_prox(query), out)
+        assert np.array_equal(geometry.composite_prox(c, y, mu, v, rho, nonsmooth), out)
         if geometry.kind == "entropy":  # the in-place softmax changes no bit
             assert np.array_equal(softmax_prox(geometry, c, y, mu, v, rho), out)
 
@@ -459,10 +460,14 @@ def test_trace_objective_is_objective_at_iterate():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(M0=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(gamma0=-1.0)
+    nan = float("nan")
+    for bad in ({"M0": 0.0}, {"M0": nan}, {"gamma0": -1.0}, {"gamma0": nan},
+                {"max_iterations": -1}, {"max_iterations": 2.5}, {"max_iterations": nan},
+                {"gap_target": nan}, {"gap_target": -1e-3},
+                {"feasibility_target": nan}, {"feasibility_target": -1e-3}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverConfig(**bad)
+    assert SolverConfig(max_iterations=np.int64(3), gap_target=0.0).max_iterations == 3
     # the paper fixes beta0, delta's scale and the cap; the instance owns mu and ||A||
     for name in ("beta0", "mu", "A_norm", "delta_scale", "line_search_cap"):
         with pytest.raises(TypeError):
