@@ -144,8 +144,8 @@ def _summary(cfg, instance, state, trace, wall, eps):
         "instance_kind": instance.metadata.get("kind"),
         "seed": instance.metadata.get("seed"),
     }
-    if cfg.get("eps") is not None:  # a uapd run reports the eps it was given, unused
-        out["eps"] = cfg["eps"] if eps is None else eps
+    if eps is not None:  # only the fixed_tolerance variant uses eps
+        out["eps"] = eps
     return out
 
 

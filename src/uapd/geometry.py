@@ -11,9 +11,16 @@ mirror maps, a reference starting point and the composite prox
 
 which every geometry solves in closed form for each g that its
 ``nonsmooth`` attribute names; ``ProblemInstance`` checks g against it.
+
+A Euclidean threshold call (simplex projection, squared-l1 prox) costs
+one in-place sort of the negated vector and one forward accumulate, on
+contiguous arrays: ascending -z is descending z, so no reversed view is
+needed, and negation is exact, so thresholds keep the descending bits.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,45 +59,49 @@ def _floored_log(x):
     return np.log(np.maximum(x, LOG_FLOOR))
 
 
-def _project_simplex(z):
-    """Euclidean projection of a vector onto the probability simplex."""
-    n = z.shape[0]
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, n + 1)
-    valid = u - css / idx > 0
-    try:
-        r = idx[valid][-1]
-    except IndexError:  # finite input always has a threshold index
-        raise ValueError("non-finite input") from None
-    theta = css[r - 1] / r
-    return np.maximum(z - theta, 0.0)
+def _project_simplex(z, out, counts):
+    """Projection of ``z`` onto the probability simplex, into ``out``.
+
+    ``counts`` holds 1.0, 2.0, ... and is at least as long as ``z``.
+    """
+    s = np.negative(z)
+    s.sort()  # ascending -z is descending z, and contiguous
+    if math.isnan(s[-1]):  # NaN sorts last
+        raise ValueError("non-finite input")
+    css = np.add.accumulate(s)
+    css += 1.0
+    css /= counts[:s.shape[0]]  # -theta for each count
+    valid = (s < css).nonzero()[0]
+    if valid.size == 0:  # finite input always has a threshold index
+        raise ValueError("non-finite input")
+    np.add(z, css[valid[-1]], out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _prox_squared_l1(z, w):
-    """argmin_v 0.5 * ||v - z||^2 + (w / 2) * ||v||_1^2.
+def _prox_squared_l1(z, w, counts):
+    """argmin_v 0.5 * ||v - z||^2 + (w / 2) * ||v||_1^2 for w > 0.
 
     The minimizer is a soft threshold of ``z`` at the level ``tau``
-    solving tau / w = sum_i max(|z_i| - tau, 0); the threshold is found
-    by scanning |z| in descending order.  Coordinates with |z_i| equal
-    to tau land exactly on zero.
+    solving tau / w = sum_i max(|z_i| - tau, 0), found by scanning |z|
+    in descending order; ``counts`` (1.0, 2.0, ...) numbers the entries
+    scanned.  Coordinates with |z_i| equal to tau land exactly on zero.
     """
     u = np.abs(z)
-    if u.max() == 0.0:
+    s = np.negative(u)
+    s.sort()  # ascending -|z| is descending |z|, and contiguous
+    if math.isnan(s[-1]):  # NaN sorts last
+        raise ValueError("non-finite input")
+    if s[0] == 0.0:
         return np.zeros_like(z)
-    if w <= 0:
-        return z.copy()
-    us = np.sort(u)[::-1]
-    cum = np.cumsum(us)
-    j = np.arange(1, u.shape[0] + 1)
-    taus = w * cum / (1.0 + j * w)
-    valid = us > taus
-    try:
-        jstar = j[valid][-1]
-    except IndexError:  # finite input always has a threshold index
-        raise ValueError("non-finite input") from None
-    tau = taus[jstar - 1]
-    return np.sign(z) * np.maximum(u - tau, 0.0)
+    taus = np.add.accumulate(s)
+    taus *= w
+    taus /= counts * w + 1.0  # -tau for each count
+    valid = (s < taus).nonzero()[0]
+    if valid.size == 0:  # finite input always has a threshold index
+        raise ValueError("non-finite input")
+    u += taus[valid[-1]]
+    np.maximum(u, 0.0, out=u)
+    return np.copysign(u, z, out=u)
 
 
 class BregmanGeometry:
@@ -202,6 +213,7 @@ class EuclideanGeometry(BregmanGeometry):
         if domain not in ("reals", "nonneg", "simplex"):
             raise ValueError(f"unknown domain {domain!r}")
         super().__init__(dimension, domain, blocks)
+        self._counts = np.arange(1.0, self.dimension + 1.0)  # for the threshold scans
         if domain == "reals":
             self.nonsmooth = ("zero", "squared_l1_half")
 
@@ -220,7 +232,7 @@ class EuclideanGeometry(BregmanGeometry):
             return np.maximum(z, 0.0)
         out = np.empty_like(z)
         for sl in self._slices:
-            out[sl] = _project_simplex(z[sl])
+            _project_simplex(z[sl], out[sl], self._counts)
         return out
 
     def divergence(self, x, y):
@@ -231,10 +243,13 @@ class EuclideanGeometry(BregmanGeometry):
 
     def _prox(self, c, y, mu, v, rho, nonsmooth):
         s = mu + rho
-        z = (mu * y + rho * v - c) / s
+        # at mu = 0, mu * y would only add a signed zero
+        z = rho * v if mu == 0 else mu * y + rho * v
+        z -= c
+        z /= s
         if nonsmooth == "squared_l1_half":
             # Rescale so the subproblem is 0.5||v - z||^2 + (w/2)||v||_1^2.
-            return _prox_squared_l1(z, 1.0 / s)
+            return _prox_squared_l1(z, 1.0 / s, self._counts)
         return self._project(z)
 
     def to_dict(self):

@@ -355,7 +355,7 @@ def _record(state, instance, i_k, wall, h_at_x, saddle_terms=None):
         k=state.k,
         objective=obj,
         f_residual=f_res,
-        feasibility=0.0 if residual is None else float(np.linalg.norm(residual)),
+        feasibility=0.0 if residual is None else math.sqrt(float(residual @ residual)),
         i_k=i_k,
         M_k=state.M,
         alpha_k=state.alpha,

@@ -5,7 +5,9 @@ optimization problems or recursions, without calling the closed forms
 under test: simplex projection by water-level bisection, the composite
 prox by projected gradient or multiplier search, the squared-l1 prox by
 threshold bisection, and a line-by-line transcription of one inner
-solver step.
+solver step.  Two threshold routines scanning reversed sorted views
+are kept as bit-for-bit references for the contiguous ones in
+``uapd.geometry``.
 """
 
 import math
@@ -144,6 +146,51 @@ def squared_l1_prox_bisect(query, iters=300):
             hi = tau
     tau = 0.5 * (lo + hi)
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+
+
+def reference_project_simplex(z):
+    """Simplex projection scanning a reversed sorted view: ``_project_simplex``'s reference.
+
+    It sorts into a reversed view, takes ``np.cumsum`` over it and
+    divides by an integer ``arange``; ``_project_simplex`` must return
+    the same bits.
+    """
+    n = z.shape[0]
+    u = np.sort(z)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, n + 1)
+    valid = u - css / idx > 0
+    try:
+        r = idx[valid][-1]
+    except IndexError:  # finite input always has a threshold index
+        raise ValueError("non-finite input") from None
+    theta = css[r - 1] / r
+    return np.maximum(z - theta, 0.0)
+
+
+def reference_prox_squared_l1(z, w):
+    """Squared-l1 prox scanning a reversed sorted view: ``_prox_squared_l1``'s reference.
+
+    Same scan as ``reference_project_simplex``; ``_prox_squared_l1``
+    must return the same bits, up to the sign of a zero output at a
+    -0.0 input.
+    """
+    u = np.abs(z)
+    if u.max() == 0.0:
+        return np.zeros_like(z)
+    if w <= 0:
+        return z.copy()
+    us = np.sort(u)[::-1]
+    cum = np.cumsum(us)
+    j = np.arange(1, u.shape[0] + 1)
+    taus = w * cum / (1.0 + j * w)
+    valid = us > taus
+    try:
+        jstar = j[valid][-1]
+    except IndexError:  # finite input always has a threshold index
+        raise ValueError("non-finite input") from None
+    tau = taus[jstar - 1]
+    return np.sign(z) * np.maximum(u - tau, 0.0)
 
 
 def random_point(geom, rng):

@@ -87,6 +87,15 @@ def test_solve_fixed_tolerance_variant(tmp_path):
     assert summary["eps"] == pytest.approx(1e-3)
 
 
+def test_uapd_summary_omits_the_eps_it_does_not_use(tmp_path):
+    cfg = write_config(tmp_path / "run.json", qp_config(variant="uapd", eps=1))
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "smoke_summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert summary["variant"] == "uapd"
+    assert "eps" not in summary
+
+
 def test_instance_can_come_from_a_relative_path(tmp_path):
     write_config(tmp_path / "inst.json",
                  {"kind": "matrix_game", "m": 5, "n": 7, "seed": 3})

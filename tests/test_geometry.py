@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from uapd.geometry import EntropyGeometry, EuclideanGeometry, three_term_residual
+from uapd.geometry import (EntropyGeometry, EuclideanGeometry, _project_simplex,
+                           _prox_squared_l1, three_term_residual)
 
 import helpers
 
@@ -239,6 +240,23 @@ def test_query_validation_errors():
         geom.composite_prox(**{**ok, "c": np.zeros(4)})
 
 
+def project_simplex(z):
+    return _project_simplex(z, np.empty_like(z), np.arange(1.0, z.size + 1.0))
+
+
+def prox_squared_l1(z, w):
+    return _prox_squared_l1(z, w, np.arange(1.0, z.size + 1.0))
+
+
+def threshold_outcome(threshold, z):
+    """The output bytes of ``threshold(z)``, or the message of its ValueError."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return threshold(z).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
 def test_threshold_proxes_reject_non_finite_input(bad):
     # a linear term of -inf puts +inf into the point being thresholded
@@ -250,6 +268,18 @@ def test_threshold_proxes_reject_non_finite_input(bad):
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValueError, match="non-finite input"):
                 geom.composite_prox(linear_term, x0, 0.0, x0, 1.0, nonsmooth)
+    # the routines themselves, with the NaN or +inf entry last or alone
+    for z in (np.array([0.5, -1.0, 2.0, -bad]), np.array([-bad])):
+        for threshold in (project_simplex, lambda z: prox_squared_l1(z, 1.0)):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="non-finite input"):
+                threshold(z)
+    # a -inf entry of the simplex projection is handled as the reference
+    # handles it: zero next to finite entries, rejected when all are -inf
+    for z in (np.array([0.5, bad, -1.0, 2.0]), np.array([0.5, -1.0, 2.0, bad]),
+              np.full(4, bad)):
+        assert (threshold_outcome(project_simplex, z)
+                == threshold_outcome(helpers.reference_project_simplex, z))
 
 
 def test_squared_l1_requires_full_space():

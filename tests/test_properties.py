@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from uapd.geometry import EntropyGeometry, EuclideanGeometry, three_term_residual
+from uapd.geometry import (EntropyGeometry, EuclideanGeometry, _project_simplex,
+                           _prox_squared_l1, three_term_residual)
 from uapd.problems import (instance_from_dict, instance_to_dict, make_basis_pursuit,
                            make_matrix_game, make_regularized_matrix_game,
                            make_steiner, make_synthetic_qp)
@@ -99,6 +100,29 @@ def test_squared_l1_prox_matches_threshold_bisection(data):
     geom = data.draw(geometries(kinds=("reals",)))
     q = data.draw(queries(geom, nonsmooth="squared_l1_half"))
     assert_close(geom.composite_prox(*q), helpers.squared_l1_prox_bisect(q), 1e-9)
+
+
+@st.composite
+def threshold_points(draw):
+    """Length 1-600, magnitude 1e-6-1e6, entries rounded so ties and zeros occur."""
+    n = draw(st.integers(1, 600))
+    digits = draw(st.integers(0, 6))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    entries = st.floats(-1.0, 1.0).map(lambda x: round(x, digits))
+    return draw(hnp.arrays(np.float64, n, elements=entries)) * scale
+
+
+@PROPERTY
+@given(threshold_points(), st.floats(-4.0, 4.0))
+def test_threshold_routines_match_their_references_bit_for_bit(z, log_w):
+    w, counts = 10.0 ** log_w, np.arange(1.0, z.size + 1.0)
+    got, want = _prox_squared_l1(z, w, counts), helpers.reference_prox_squared_l1(z, w)
+    # np.copysign keeps the sign of a -0.0 input, which np.sign(z) * drops
+    minus_zero = (z == 0.0) & np.signbit(z)
+    assert got[~minus_zero].tobytes() == want[~minus_zero].tobytes()
+    assert np.all(got[minus_zero] == 0.0) and np.all(want[minus_zero] == 0.0)
+    got = _project_simplex(z, np.empty_like(z), counts)
+    assert got.tobytes() == helpers.reference_project_simplex(z).tobytes()
 
 
 @PROPERTY

@@ -226,6 +226,16 @@ def test_observer_sees_every_iteration_in_order():
         assert state.k == k and new_state.k == k + 1
 
 
+def test_feasibility_is_the_norm_of_the_carried_residual():
+    instance = make_basis_pursuit(20, 60, seed=16, sparsity=4)
+    _, trace, recorder, _ = run(instance, 200)
+    assert len(trace) == 201
+    states = [recorder.steps[0][1]] + [step[4] for step in recorder.steps]
+    for record, st in zip(trace, states):
+        residual = solver._parts(instance, st.x_lift)[2]
+        assert record.feasibility == float(np.linalg.norm(residual))
+
+
 def test_unconstrained_instances_keep_empty_dual():
     instance = make_steiner(4, 3, seed=14)
     state, trace, recorder, config = run(instance, 20)
