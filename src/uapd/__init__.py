@@ -13,7 +13,7 @@ from .problems import (InstanceRecipe, ProblemInstance, instance_from_dict,
                        make_matrix_game, make_regularized_matrix_game, make_steiner,
                        make_synthetic_qp, operator_norm)
 from .solver import (IterationRecord, LineSearchError, SolverConfig, SolverError,
-                     SolverState, TRACE_COLUMNS, lyapunov, solve, trace_to_csv)
+                     SolverState, TRACE_COLUMNS, solve, trace_to_csv)
 from .analysis import (DecayBoundSpec, beta_rate_bound, decay_spec_for_solver,
                        envelope, fit_rate, holder_constant,
                        line_search_total_bound, mk_bound, rate_bound_preconditions)
@@ -29,7 +29,7 @@ __all__ = [
     "make_regularized_matrix_game", "make_steiner", "make_synthetic_qp",
     "operator_norm",
     "IterationRecord", "LineSearchError", "SolverConfig", "SolverError",
-    "SolverState", "TRACE_COLUMNS", "lyapunov", "solve", "trace_to_csv",
+    "SolverState", "TRACE_COLUMNS", "solve", "trace_to_csv",
     "DecayBoundSpec", "beta_rate_bound", "decay_spec_for_solver", "envelope",
     "fit_rate", "holder_constant", "line_search_total_bound", "mk_bound",
     "rate_bound_preconditions",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import SolverConfig, _lyapunov, _residual, _saddle_terms
+from .solver import SolverConfig
 
 __all__ = [
     "FlowState",
@@ -103,19 +103,15 @@ def flow_rhs(state, instance, gamma0):
     return _rhs(state.t, state.x, state.w, state.lam, instance, gamma0, state)
 
 
-def flow_lyapunov(state, instance, gamma0, saddle_terms=None):
-    """The solver's Lyapunov formula at (x, lam, grad_conj(w), gamma(t), beta(t)).
+def flow_lyapunov(state, instance, gamma0):
+    """``instance.lyapunov`` at (x, grad_conj(w), lam, gamma(t), beta(t)).
 
-    ``saddle_terms`` is ``solver._saddle_terms(instance)``, evaluated when not given.
+    The solver's trace uses the same formula; ValueError without a known
+    saddle point.
     """
-    if instance.known_saddle is None:
-        raise ValueError("flow Lyapunov evaluation needs instance.known_saddle")
-    if saddle_terms is None:
-        saddle_terms = _saddle_terms(instance)
-    return _lyapunov(instance, state.lam, instance.geometry.grad_conj(state.w),
-                     gamma_of(state.t, instance.mu, gamma0), beta_of(state.t),
-                     instance.objective(state.x), _residual(instance, state.x),
-                     saddle_terms)
+    return instance.lyapunov(instance.objective(state.x), instance.residual(state.x),
+                             instance.geometry.grad_conj(state.w), state.lam,
+                             gamma_of(state.t, instance.mu, gamma0), beta_of(state.t))
 
 
 def integrate(instance, t_end, dt, gamma0=None, x0=None, v0=None, lambda0=None):
@@ -145,9 +141,8 @@ def integrate(instance, t_end, dt, gamma0=None, x0=None, v0=None, lambda0=None):
     if n_steps < 1:
         raise ValueError("t_end must cover at least one step")
 
-    saddle_terms = _saddle_terms(instance)
     state = FlowState(x=x, w=w, lam=lam, t=0.0)
-    trajectory = [(state, flow_lyapunov(state, instance, gamma0, saddle_terms))]
+    trajectory = [(state, flow_lyapunov(state, instance, gamma0))]
     for step in range(n_steps):
         t = step * dt
         k1 = _rhs(t, x, w, lam, instance, gamma0, state)
@@ -164,12 +159,12 @@ def integrate(instance, t_end, dt, gamma0=None, x0=None, v0=None, lambda0=None):
         if not _interior(geom, x):
             raise FlowDomainError(
                 f"iterate left the domain interior at t = {t_new:.6g}", state)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))
-                and np.all(np.isfinite(lam))):
+        # contains(x) has checked x for non-finite entries
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(lam))):
             raise FlowDomainError(
                 f"non-finite state at t = {t_new:.6g}", state)
-        state = FlowState(x=x.copy(), w=w.copy(), lam=lam.copy(), t=t_new)
-        trajectory.append((state, flow_lyapunov(state, instance, gamma0, saddle_terms)))
+        state = FlowState(x=x, w=w, lam=lam, t=t_new)  # each step builds new arrays
+        trajectory.append((state, flow_lyapunov(state, instance, gamma0)))
     return trajectory
 
 

@@ -73,9 +73,10 @@ class ProblemInstance:
     ``g_spec`` names g and must be one of ``geometry.nonsmooth``, the
     g whose prox the geometry solves.  ``known_saddle`` is
     ``(x*, lam*)`` when available (lam* empty for unconstrained problems)
-    and enables Lyapunov diagnostics; ``known_optimum`` is f(x*) when
-    known.  ``a_norm`` is ||A||, computed once here (0.0 when
-    unconstrained) and also published as ``metadata["a_norm"]``.
+    and enables :meth:`lyapunov`; its f(x*) and A x* - b are formed once
+    here, as ``objective_star`` and ``residual_star``.  ``known_optimum``
+    is f(x*) when known.  ``a_norm`` is ||A||, computed once here (0.0
+    when unconstrained) and also published as ``metadata["a_norm"]``.
     """
 
     h_oracle: object
@@ -90,6 +91,8 @@ class ProblemInstance:
     metadata: dict = field(default_factory=dict)
     K: object = None
     a_norm: float = field(init=False, default=0.0)
+    objective_star: float | None = field(init=False, default=None)
+    residual_star: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         if not self.mu >= 0:
@@ -110,6 +113,15 @@ class ProblemInstance:
                 raise ValueError("constraint dimensions do not match the geometry")
             self.a_norm = operator_norm(self.A)
             self.metadata["a_norm"] = self.a_norm
+        if self.known_saddle is not None:
+            x_star, lam_star = (np.asarray(a, dtype=float) for a in self.known_saddle)
+            want = ((self.geometry.dimension,), (self.dual_dimension,))
+            if (x_star.shape, lam_star.shape) != want:
+                raise ValueError(f"known_saddle has shapes {x_star.shape} and "
+                                 f"{lam_star.shape}, expected {want[0]} and {want[1]}")
+            self.known_saddle = (x_star, lam_star)
+            self.objective_star = self.objective(x_star)
+            self.residual_star = self.residual(x_star)
 
     @property
     def constrained(self):
@@ -142,16 +154,32 @@ class ProblemInstance:
     def objective(self, x):
         return self.h(x)[0] + self.g_value(x)
 
-    def feasibility(self, x):
-        if self.A is None:
-            return 0.0
-        return float(np.linalg.norm(self.A @ x - self.b))
+    def residual(self, x):
+        """A x - b, or None when unconstrained."""
+        return None if self.A is None else self.A @ x - self.b
 
-    def lagrangian(self, x, lam):
-        value = self.objective(x)
-        if self.A is not None and lam is not None and np.size(lam):
-            value += float(np.asarray(lam) @ (self.A @ x - self.b))
-        return value
+    def feasibility(self, x):
+        r = self.residual(x)
+        return 0.0 if r is None else float(np.linalg.norm(r))
+
+    def lyapunov(self, objective, residual, v, lam, gamma, beta):
+        """L(x, lam*) - L(x*, lam) + gamma D(x*, v) + (beta / 2) ||lam - lam*||^2.
+
+        ``objective`` and ``residual`` are f(x) and ``residual(x)`` at the
+        primal point x.  Raises ValueError without a known saddle point.
+        """
+        if self.known_saddle is None:
+            raise ValueError("the Lyapunov function needs an instance with a known saddle point")
+        x_star, lam_star = self.known_saddle
+        objective_star = self.objective_star
+        if residual is not None:  # the Lagrangians L(x, lam*) and L(x*, lam)
+            objective += float(lam_star @ residual)
+            objective_star += float(lam @ self.residual_star)
+        value = objective - objective_star + gamma * self.geometry.divergence(x_star, v)
+        if np.size(lam_star):
+            dl = lam - lam_star
+            value += 0.5 * beta * float(dl @ dl)
+        return float(value)
 
 
 @dataclass
@@ -178,11 +206,19 @@ class InstanceRecipe:
 
     @classmethod
     def from_dict(cls, d):
+        """Recipe from a dict; a field its kind does not read must be absent or default."""
         if "kind" not in d:
             raise ValueError("recipe is missing the field 'kind'")
-        unknown = set(d) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise ValueError(f"unknown recipe fields {sorted(unknown)}")
+        row = _kind(d["kind"])
+        unread = sorted(name for name, value in d.items()
+                        if name not in ("kind", "m", "n", "seed", *row.required, *row.optional)
+                        and value != fields[name].default)
+        if unread:
+            raise ValueError(f"recipe fields {unread} are not read by kind {d['kind']!r}")
         return cls(**d)
 
 
@@ -412,11 +448,8 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = H.shape[0]
-    xs, ls = saddle
-    xs = np.asarray(xs, dtype=float)
-    ls = np.asarray(ls, dtype=float)
     eigs = np.linalg.eigvalsh(H)
-    return ProblemInstance(
+    instance = ProblemInstance(
         h_oracle=_qp_oracle(c),
         K=H.__matmul__,
         g_spec="zero",
@@ -424,8 +457,7 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
         A=A,
         b=b,
         mu=float(mu),
-        known_saddle=(xs, ls),
-        known_optimum=float(0.5 * (xs @ (H @ xs)) + c @ xs),
+        known_saddle=saddle,
         differentiable=True,
         metadata={
             "kind": "synthetic_qp",
@@ -439,6 +471,8 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
             "c": c,
         },
     )
+    instance.known_optimum = instance.objective_star
+    return instance
 
 
 def make_synthetic_qp(n, m, mu, seed, a_norm=None, eig_spread=9.0):
@@ -490,33 +524,34 @@ def make_synthetic_qp(n, m, mu, seed, a_norm=None, eig_spread=9.0):
 
 class _Kind(NamedTuple):
     generate: object  # recipe -> instance
-    required: tuple  # recipe fields that have no default
+    required: tuple  # recipe fields it reads that must not be None
+    optional: tuple  # the other recipe fields it reads, besides kind, m, n and seed
     load: object  # document, stored lists as arrays -> instance
     stored: tuple  # document fields: constraint data, saddle point or metadata
 
 
 _KINDS = {
     "matrix_game": _Kind(
-        lambda r: make_matrix_game(r.m, r.n, r.seed, geometry=r.geometry), (),
+        lambda r: make_matrix_game(r.m, r.n, r.seed, geometry=r.geometry), (), ("geometry",),
         lambda d: _assemble_matrix_game(d["P"], d.get("seed"),
                                         d.get("geometry", {}).get("kind", "entropy")),
         ("P",)),
     "regularized_matrix_game": _Kind(
-        lambda r: make_regularized_matrix_game(r.m, r.n, r.seed, r.eps), ("eps",),
+        lambda r: make_regularized_matrix_game(r.m, r.n, r.seed, r.eps), ("eps",), (),
         lambda d: _assemble_regularized_game(d["P"], d["eps"], d.get("seed")),
         ("P", "eps")),
     "steiner": _Kind(
-        lambda r: make_steiner(r.m, r.n, r.seed), (),
+        lambda r: make_steiner(r.m, r.n, r.seed), (), (),
         lambda d: _assemble_steiner(d["anchors"], d.get("seed")),
         ("anchors",)),
     "basis_pursuit": _Kind(
-        lambda r: make_basis_pursuit(r.m, r.n, r.seed, r.sparsity), ("sparsity",),
+        lambda r: make_basis_pursuit(r.m, r.n, r.seed, r.sparsity), ("sparsity",), (),
         lambda d: _assemble_basis_pursuit(d["A"], d["b"], d["x_true"], d.get("seed"),
                                           d["sparsity"]),
         ("A", "b", "x_true", "sparsity")),
     "synthetic_qp": _Kind(
         lambda r: make_synthetic_qp(r.n, r.m, r.mu, r.seed, a_norm=r.a_norm,
-                                    eig_spread=r.eig_spread), (),
+                                    eig_spread=r.eig_spread), (), ("mu", "a_norm", "eig_spread"),
         lambda d: _assemble_synthetic_qp(d["H"], d["c"], d["A"], d["b"],
                                          (d["x_star"], d["lam_star"]),
                                          d.get("mu", 0.0), d.get("seed")),

@@ -20,11 +20,12 @@ line-search trial: one lift of the prox output v_{k+1} (one K and, if
 constrained, one A product), two ``h`` calls (at y_k and x_{k+1}) on
 carried K images, one unchecked composite prox and, if constrained, one
 A^T product.  The dual update reads A v_{k+1} - b from the lift; the
-trace row (and its Lyapunov value, whose f(x*) and A x* - b are formed
-once per solve) reuses h(x_{k+1}) and the carried A x_{k+1} - b.  The
-carried images round differently from fresh products: under 1e-12
-relative on the recorded objective of the benchmark games.  Inputs are
-validated at the public boundary; each trial makes two finiteness checks.
+trace row reuses h(x_{k+1}) and the carried A x_{k+1} - b, and so does
+its Lyapunov value, whose f(x*) and A x* - b the instance formed when it
+was built.  The carried images round differently from fresh products:
+under 1e-12 relative on the recorded objective of the benchmark games.
+Inputs are validated at the public boundary; each trial makes two
+finiteness checks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "line_search",
     "outer_update",
     "solve",
-    "lyapunov",
     "trace_to_csv",
     "TRACE_COLUMNS",
 ]
@@ -177,11 +177,6 @@ TRACE_COLUMNS = ("k", "f_residual", "feasibility", "i_k", "M_k", "alpha_k",
                  "beta_k", "delta_k", "lyapunov", "wall_time_s", "objective")
 
 
-def _residual(instance, x):
-    """A x - b, or None when unconstrained."""
-    return None if instance.A is None else instance.A @ x - instance.b
-
-
 def _parts(instance, lifted):
     """Views (x, K x, A x - b) of ``lifted``; the last is None when unconstrained."""
     n, end = instance.geometry.dimension, lifted.size - instance.dual_dimension
@@ -304,53 +299,18 @@ def outer_update(state, accepted, i_k, instance):
     )
 
 
-def _saddle_terms(instance):
-    """objective(x*) and A x* - b, which every Lyapunov value of a solve shares."""
-    x_star = instance.known_saddle[0]
-    return instance.objective(x_star), _residual(instance, x_star)
-
-
-def _lyapunov(instance, lam, v, gamma, beta, objective, residual, saddle_terms):
-    """L(x, lam*) - L(x*, lam) + gamma D(x*, v) + (beta / 2) ||lam - lam*||^2.
-
-    ``objective`` and ``residual`` are objective(x) and A x - b, and
-    ``saddle_terms`` is ``_saddle_terms(instance)``.
-    """
-    x_star, lam_star = instance.known_saddle
-    objective_star, residual_star = saddle_terms
-    if residual is not None:  # the Lagrangians L(x, lam*) and L(x*, lam)
-        objective += float(lam_star @ residual)
-        objective_star += float(lam @ residual_star)
-    value = objective - objective_star + gamma * instance.geometry.divergence(x_star, v)
-    if np.size(lam_star):
-        dl = lam - lam_star
-        value += 0.5 * beta * float(dl @ dl)
-    return float(value)
-
-
-def lyapunov(state, instance):
-    """Lyapunov value of (x_k, v_k, lam_k, gamma_k, beta_k), from the lifted x_k."""
-    if instance.known_saddle is None:
-        raise ValueError("lyapunov requires an instance with a known saddle point")
-    x, image, residual = _parts(instance, state.x_lift)
-    return _lyapunov(instance, state.lam, state.v, state.gamma, state.beta,
-                     instance.h(x, image)[0] + instance.g_value(x), residual,
-                     _saddle_terms(instance))
-
-
-def _record(state, instance, i_k, wall, h_at_x, saddle_terms=None):
+def _record(state, instance, i_k, wall, h_at_x):
     """Trace row for ``state``; ``h_at_x`` is h(state.x).
 
-    ``saddle_terms`` is ``_saddle_terms(instance)`` when the instance has a
-    known saddle point; the carried A x_k - b serves feasibility and Lyapunov.
+    The carried A x_k - b serves feasibility and, when the instance has a
+    known saddle point, the Lyapunov value.
     """
     obj = h_at_x + instance.g_value(state.x)
     f_res = None if instance.known_optimum is None else obj - instance.known_optimum
     residual = _parts(instance, state.x_lift)[2]
     lyap = None
-    if saddle_terms is not None:
-        lyap = _lyapunov(instance, state.lam, state.v, state.gamma, state.beta, obj,
-                         residual, saddle_terms)
+    if instance.known_saddle is not None:
+        lyap = instance.lyapunov(obj, residual, state.v, state.lam, state.gamma, state.beta)
     return IterationRecord(
         k=state.k,
         objective=obj,
@@ -393,18 +353,16 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
         raise ValueError(f"eps must be positive, got {fixed_eps!r}")
     config = (config or SolverConfig()).resolved(instance)
     state = initial_state(instance, config)
-    saddle_terms = None if instance.known_saddle is None else _saddle_terms(instance)
     t0 = time.perf_counter()
     h_at_x0 = instance.h(*_parts(instance, state.x_lift)[:2])[0]
-    trace = [_record(state, instance, 0, 0.0, h_at_x0, saddle_terms)]
+    trace = [_record(state, instance, 0, 0.0, h_at_x0)]
     for k in range(config.max_iterations):
         accepted, i_k = line_search(k, state, instance, fixed_eps=fixed_eps)
         new_state = outer_update(state, accepted, i_k, instance)
         if observer is not None:
             observer(k, state, accepted, i_k, new_state)
         state = new_state
-        rec = _record(state, instance, i_k, time.perf_counter() - t0, accepted.h_at_x,
-                      saddle_terms)
+        rec = _record(state, instance, i_k, time.perf_counter() - t0, accepted.h_at_x)
         trace.append(rec)
         if _targets_met(rec, config):
             break

@@ -4,10 +4,10 @@ Everything in here recomputes quantities from their defining
 optimization problems or recursions, without calling the closed forms
 under test: simplex projection by water-level bisection, the composite
 prox by projected gradient or multiplier search, the squared-l1 prox by
-threshold bisection, and a line-by-line transcription of one inner
-solver step.  Two threshold routines scanning reversed sorted views
-are kept as bit-for-bit references for the contiguous ones in
-``uapd.geometry``.
+threshold bisection, the Lagrangian from its definition, and a
+line-by-line transcription of one inner solver step.  Two threshold
+routines scanning reversed sorted views are kept as bit-for-bit
+references for the contiguous ones in ``uapd.geometry``.
 """
 
 import math
@@ -271,6 +271,14 @@ def finite_difference_gradient(func, x, h=1e-6):
         e[i] = h
         g[i] = (func(x + e) - func(x - e)) / (2.0 * h)
     return g
+
+
+def lagrangian(instance, x, lam):
+    """L(x, lam) = f(x) + <lam, A x - b>, multiplying A x afresh."""
+    value = instance.objective(x)
+    if instance.A is not None and lam is not None and np.size(lam):
+        value += float(np.asarray(lam) @ (instance.A @ x - instance.b))
+    return value
 
 
 def euler_flow(instance, gamma0, beta0, x0, w0, lam0, t_end, dt):

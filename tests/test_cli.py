@@ -160,6 +160,19 @@ def test_instance_document_missing_a_stored_field_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "'b'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "flow"])
+def test_wrong_length_saddle_vector_exits_2_before_solving(tmp_path, capsys, command):
+    doc = problems.instance_to_dict(problems.make_synthetic_qp(8, 3, mu=0.5, seed=12))
+    for name, vector in (("x_star", doc["x_star"][:-1]), ("lam_star", doc["lam_star"] + [0.0])):
+        cfg = write_config(tmp_path / "run.json",
+                           qp_config(instance={**doc, name: vector},
+                                     flow={"t_end": 0.1, "dt": 0.01}, output=name))
+        assert main([command, cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "known_saddle" in err and err.count("\n") == 1
+        assert not list(tmp_path.glob(f"{name}_*"))
+
+
 def test_missing_field_errors_name_the_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", {"solver": {}})
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
@@ -210,8 +223,10 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     ("flow", {"flow": {"t_end": 1.0, "dt": "small"}}),
     ("flow", {"flow": {"t_end": "long", "dt": 0.1}}),
     ("solve", {"variant": "fixed_tolerance", "eps": "tiny"}),
+    ("solve", {"instance": {"kind": "basis_pursuit", "m": 3, "n": 8, "seed": 0,
+                            "sparsity": 2, "mu": 0.7}}),
 ], ids=["fit_window_short", "fit_window_string", "max_iterations_string",
-        "flow_dt_string", "flow_t_end_string", "eps_string"])
+        "flow_dt_string", "flow_t_end_string", "eps_string", "recipe_field_not_read"])
 def test_malformed_sections_exit_2_with_one_error_line(tmp_path, capsys, command,
                                                        overrides):
     cfg = write_config(tmp_path / "run.json", qp_config(**overrides))

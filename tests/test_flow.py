@@ -10,7 +10,7 @@ from uapd import flow, problems
 from uapd.geometry import EntropyGeometry
 from uapd.problems import ProblemInstance
 from uapd.solver import SolverConfig
-from helpers import euler_flow
+from helpers import euler_flow, lagrangian
 
 
 def entropy_quadratic(c=(0.5, 0.3, 0.2)):
@@ -158,7 +158,7 @@ def test_flow_lyapunov_is_the_lagrangian_formula():
     for state, value in trajectory:
         v = qp.geometry.grad_conj(state.w)
         dl = state.lam - lam_star
-        want = (qp.lagrangian(state.x, lam_star) - qp.lagrangian(x_star, state.lam)
+        want = (lagrangian(qp, state.x, lam_star) - lagrangian(qp, x_star, state.lam)
                 + flow.gamma_of(state.t, qp.mu, gamma0) * qp.geometry.divergence(x_star, v)
                 + 0.5 * flow.beta_of(state.t) * float(dl @ dl))
         assert value == want
@@ -171,7 +171,8 @@ def test_flow_evaluates_the_saddle_objective_once():
     objective = qp.objective
     qp.objective = lambda x: calls.append(1) or objective(x)
     trajectory = flow.integrate(qp, t_end=0.2, dt=0.02)
-    assert len(calls) == len(trajectory) + 1  # one per grid point, one for x*
+    # one per grid point; f(x*) was formed when the instance was built
+    assert len(calls) == len(trajectory)
 
 
 def test_trajectory_grid_and_initial_conditions():

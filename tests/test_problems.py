@@ -289,6 +289,18 @@ def test_instance_rejects_non_finite_constraint_data(field, bad):
             instance_from_dict(doc)
 
 
+def test_known_saddle_is_shape_checked_and_its_terms_formed_at_build():
+    inst = make_synthetic_qp(6, 2, mu=0.5, seed=3)
+    xs, ls = inst.known_saddle
+    assert inst.objective_star == inst.known_optimum == inst.objective(xs)
+    assert np.array_equal(inst.residual_star, inst.A @ xs - inst.b)
+    for saddle in ((xs[:-1], ls), (xs, np.append(ls, 0.0)), (xs, np.zeros(0)),
+                   (xs[None, :], ls)):
+        with pytest.raises(ValueError, match="^known_saddle has shapes"):
+            ProblemInstance(h_oracle=inst.h_oracle, K=inst.K, g_spec="zero",
+                            geometry=inst.geometry, A=inst.A, b=inst.b, known_saddle=saddle)
+
+
 def test_basis_pursuit_argument_validation():
     with pytest.raises(ValueError):
         make_basis_pursuit(10, 10, seed=0, sparsity=2)
@@ -340,16 +352,6 @@ def test_synthetic_qp_a_norm_rescaling():
     assert inst.metadata["a_norm"] == pytest.approx(1.0, rel=1e-8)
 
 
-def test_lagrangian_definition():
-    inst = make_synthetic_qp(6, 2, mu=0.0, seed=16)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(6)
-    lam = rng.standard_normal(2)
-    want = inst.objective(x) + lam @ (inst.A @ x - inst.b)
-    assert inst.lagrangian(x, lam) == pytest.approx(want, rel=1e-12)
-    assert inst.lagrangian(x, np.zeros(0)) == pytest.approx(inst.objective(x))
-
-
 # ---------------------------------------------------------------------------
 # recipes and serialization
 
@@ -373,6 +375,13 @@ def test_recipe_rejects_bad_input():
         InstanceRecipe(kind="lp", m=3, n=4, seed=0).generate()
     with pytest.raises(ValueError):
         InstanceRecipe(kind="basis_pursuit", m=3, n=9, seed=0).generate()
+    # a field its kind does not read is rejected by name unless it holds its default
+    unread = ({"kind": "basis_pursuit", "m": 3, "n": 9, "seed": 0, "sparsity": 2, "mu": 0.7},
+              {"kind": "regularized_matrix_game", "m": 3, "n": 4, "seed": 0, "eps": 0.1,
+               "geometry": "euclidean"})
+    for d, name in zip(unread, ("mu", "geometry")):
+        with pytest.raises(ValueError, match=f"'{name}'.* not read"):
+            InstanceRecipe.from_dict(d)
 
 
 def test_same_seed_reproduces_instance():

@@ -14,7 +14,7 @@ from uapd.problems import (ProblemInstance, load_instance, make_basis_pursuit,
                            make_matrix_game, make_regularized_matrix_game, make_steiner,
                            make_synthetic_qp)
 from uapd.solver import (LineSearchError, SolverConfig, SolverError, initial_state,
-                         inner_step, line_search, lyapunov, outer_update, solve,
+                         inner_step, line_search, outer_update, solve,
                          trace_to_csv, TRACE_COLUMNS)
 
 from uapd import solver
@@ -193,7 +193,8 @@ def test_lyapunov_requires_saddle():
     config = SolverConfig(max_iterations=1).resolved(instance)
     state = initial_state(instance, config)
     with pytest.raises(ValueError):
-        lyapunov(state, instance)
+        instance.lyapunov(instance.objective(state.x), None, state.v, state.lam,
+                          state.gamma, state.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +328,9 @@ def test_one_oracle_call_per_point(instance):
         return oracle(*args)
     instance.h_oracle = counted
     state, trace = solve(instance, SolverConfig(max_iterations=40))
-    # the k = 0 row (and f(x*) once when the saddle point is known),
-    # then h(y_k) and h(x_{k+1}) for every trial
-    once = 2 if instance.known_saddle is not None else 1
-    assert calls[0] == once + 2 * (trace[-1].k + state.line_search_total)
+    # the k = 0 row, then h(y_k) and h(x_{k+1}) for every trial; f(x*) of a
+    # known saddle point was formed when the instance was built
+    assert calls[0] == 1 + 2 * (trace[-1].k + state.line_search_total)
 
 
 def lifted_instances():
@@ -386,14 +386,13 @@ def test_one_k_product_per_trial_and_two_a_products_per_iteration(instance):
         instance.A.counter = a_products
     state, trace = solve(instance, SolverConfig(max_iterations=40))
     trials = trace[-1].k + state.line_search_total
-    # x_0 is lifted once and, when the saddle point is known, f(x*) and
-    # A x* - b are formed once; then every trial lifts v_{k+1} (one K
-    # product, one A product) and forms one A^T product
-    once = 1 + (instance.known_saddle is not None)
+    # x_0 is lifted once (f(x*) and A x* - b of a known saddle point were
+    # formed when the instance was built); then every trial lifts v_{k+1}
+    # (one K product, one A product) and forms one A^T product
     if instance.K is not None:
-        assert k_products[0] == once + trials
+        assert k_products[0] == 1 + trials
     if instance.constrained:
-        assert a_products[0] == once + 2 * trials
+        assert a_products[0] == 1 + 2 * trials
     if instance.metadata["kind"] == "basis_pursuit":
         assert state.line_search_total == 0 and a_products[0] == 1 + 2 * trace[-1].k
 
@@ -447,10 +446,10 @@ def test_trace_lyapunov_is_lyapunov_of_state():
     states = [recorder.steps[0][1]] + [s[4] for s in recorder.steps]
     assert len(states) == len(trace)
     for record, state in zip(trace, states):
-        assert record.lyapunov == lyapunov(state, instance)
         # the defining formula, in the same order of operations
         dl = state.lam - lam_star
-        want = (instance.lagrangian(state.x, lam_star) - instance.lagrangian(x_star, state.lam)
+        want = (helpers.lagrangian(instance, state.x, lam_star)
+                - helpers.lagrangian(instance, x_star, state.lam)
                 + state.gamma * instance.geometry.divergence(x_star, state.v))
         # the record uses the carried H x_k and A x_k - b; the formula multiplies afresh
         assert record.lyapunov == pytest.approx(want + 0.5 * state.beta * float(dl @ dl),
