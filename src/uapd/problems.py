@@ -67,9 +67,11 @@ class ProblemInstance:
     """Composite problem min h(x) + g(x) s.t. A x = b, x in the domain.
 
     ``h_oracle`` maps a point to ``(value, gradient)``; for nonsmooth h
-    the gradient is a deterministic subgradient selection.  When h(x) =
-    phi(x, K x) with K linear, ``K`` is the map x -> K x and ``h_oracle``
-    takes ``(x, K x)``, so a caller holding the image skips the product.
+    the gradient is a deterministic subgradient selection; None declares
+    h = 0.  When h(x) = phi(x, K x) with K linear, ``K`` is the map
+    x -> K x and ``h_oracle`` takes ``(x, K x)``, so a caller holding the
+    image skips the product.  ``h_value_oracle``, when given with K, maps
+    K x to h(x) alone, without building a gradient.
     ``g_spec`` names g and must be one of ``geometry.nonsmooth``, the
     g whose prox the geometry solves.  ``known_saddle`` is
     ``(x*, lam*)`` when available (lam* empty for unconstrained problems)
@@ -90,6 +92,7 @@ class ProblemInstance:
     differentiable: bool = False
     metadata: dict = field(default_factory=dict)
     K: object = None
+    h_value_oracle: object = None
     a_norm: float = field(init=False, default=0.0)
     objective_star: float | None = field(init=False, default=None)
     residual_star: np.ndarray | None = field(init=False, default=None)
@@ -133,11 +136,25 @@ class ProblemInstance:
 
     def h(self, x, image=None):
         """(h(x), gradient); ``image`` is K x when known, else formed here."""
+        if self.h_oracle is None:
+            return 0.0, np.zeros(self.geometry.dimension)
         if self.K is None:
             value, grad = self.h_oracle(x)
         else:
             value, grad = self.h_oracle(x, self.K(x) if image is None else image)
         return float(value), np.asarray(grad, dtype=float)
+
+    def h_value(self, x, image):
+        """h(x) alone at a point whose K image (ignored without K) the caller holds.
+
+        0.0 without an oracle call when h = 0; otherwise the value oracle's
+        result when the instance has one, else the value of ``h_oracle``.
+        """
+        if self.h_oracle is None:
+            return 0.0
+        if self.h_value_oracle is None:
+            return self.h(x, image)[0]
+        return float(self.h_value_oracle(image))
 
     def lift(self, x):
         """(x, K x, A x - b) stacked in one vector; absent parts are empty."""
@@ -224,27 +241,34 @@ class InstanceRecipe:
 
 # ---------------------------------------------------------------------------
 # Matrix game: min over a product of simplices of
-#   max_j <p_j, x>  +  max_i <q_i, y>,  q_i the negated rows of P.
+#   max_j <p_j, x>  -  min_i <r_i, y>,  r_i the rows of P.
 # The optimal value is 0.
 
 
 def _matrix_game_oracle(P):
-    """(oracle, K) with K u = (P^T x, -P y) for u = (x, y)."""
+    """(oracle, value, K) with K u = (P^T x, P y) for u = (x, y); P is the one copy.
+
+    h(u) = max(P^T x) - min(P y), with the subgradient (P[:, j], -P[i])
+    at the smallest extreme indices j and i (argmax and argmin both take
+    the smallest, NaN first).  ``value`` is h alone from the image.
+    """
     n, m = P.shape
-    PT, NP = P.T, -P
+    PT = P.T
 
     def K(u):
-        return np.concatenate((PT @ u[:n], NP @ u[n:]))
+        return np.concatenate((PT @ u[:n], P @ u[n:]))
 
     def oracle(u, image):
-        sx, sy = image[:m], image[m:]
-        j = int(sx.argmax())  # argmax takes the smallest maximizing index
-        i = int(sy.argmax())
-        value = float(sx[j] + sy[i])
-        grad = np.concatenate([P[:, j], NP[i, :]])
-        return value, grad
+        sx, ty = image[:m], image[m:]
+        j = int(sx.argmax())
+        i = int(ty.argmin())
+        return float(sx[j] - ty[i]), np.concatenate((P[:, j], -P[i]))
 
-    return oracle, K
+    def value(image):
+        sx, ty = image[:m], image[m:]
+        return sx[sx.argmax()] - ty[ty.argmin()]
+
+    return oracle, value, K
 
 
 def _assemble_matrix_game(P, seed, geometry_kind):
@@ -260,9 +284,10 @@ def _assemble_matrix_game(P, seed, geometry_kind):
     col = np.linalg.norm(P, axis=0)
     row = np.linalg.norm(P, axis=1)
     diameter = 2.0 * float(np.sqrt(col.max() ** 2 + row.max() ** 2))
-    oracle, K = _matrix_game_oracle(P)
+    oracle, value, K = _matrix_game_oracle(P)
     return ProblemInstance(
         h_oracle=oracle,
+        h_value_oracle=value,
         K=K,
         g_spec="zero",
         geometry=geom,
@@ -384,13 +409,7 @@ def make_steiner(m, n, seed):
 
 # ---------------------------------------------------------------------------
 # Basis pursuit with the squared l1 objective: min 0.5||x||_1^2, Ax = b.
-
-
-def _zero_oracle(n):
-    def oracle(x):
-        return 0.0, np.zeros(n)
-
-    return oracle
+# h = 0, declared by the absent oracle.
 
 
 def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
@@ -398,7 +417,7 @@ def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     return ProblemInstance(
-        h_oracle=_zero_oracle(n),
+        h_oracle=None,
         g_spec="squared_l1_half",
         geometry=EuclideanGeometry(n, domain="reals"),
         A=A,
@@ -566,11 +585,17 @@ def _kind(kind):
     return _KINDS[kind]
 
 
-def instance_to_dict(instance):
+def _common_fields(instance):
+    """The document fields every kind writes: kind, m, n, seed, mu and geometry."""
     meta = instance.metadata
-    d = {"kind": meta.get("kind"), "m": meta.get("m"), "n": meta.get("n"),
-         "seed": meta.get("seed"), "mu": instance.mu,
-         "geometry": instance.geometry.to_dict()}
+    return {"kind": meta.get("kind"), "m": meta.get("m"), "n": meta.get("n"),
+            "seed": meta.get("seed"), "mu": instance.mu,
+            "geometry": instance.geometry.to_dict()}
+
+
+def instance_to_dict(instance):
+    d = _common_fields(instance)
+    meta = instance.metadata
     for name in _kind(d["kind"]).stored:
         if name in ("A", "b"):
             value = getattr(instance, name)
@@ -583,14 +608,37 @@ def instance_to_dict(instance):
 
 
 def instance_from_dict(d):
+    """Instance from a document of :func:`instance_to_dict`, built from its stored data.
+
+    Every field but the stored ones is one that :func:`instance_to_dict`
+    writes for every kind.  One its kind does not read (``mu`` on basis
+    pursuit, m and n, the geometry of a kind with a fixed one) must hold
+    the value the loaded instance has; a geometry may give only some of
+    its keys.
+    """
     row = _kind(d.get("kind"))
+    unknown = sorted(set(d) - {"kind", "m", "n", "seed", "mu", "geometry", *row.stored})
+    if unknown:
+        raise ValueError(f"unknown instance document fields {unknown}")
+    if not isinstance(d.get("geometry", {}), dict):
+        raise ValueError(f"document field 'geometry' must be a dict as instance_to_dict "
+                         f"writes it, got {d['geometry']!r}")
     doc = dict(d)
     for name in row.stored:
         if name not in d:
             raise ValueError(f"instance document is missing the field '{name}'")
         if isinstance(d[name], list):
             doc[name] = np.asarray(d[name], dtype=float)
-    return row.load(doc)
+    instance = row.load(doc)
+    written = _common_fields(instance)
+    if "geometry" in d:  # a geometry may give some of its keys only, such as its kind
+        written["geometry"] = {key: written["geometry"].get(key) for key in d["geometry"]}
+    unread = [name for name in written if name in d and d[name] != written[name]]
+    if unread:
+        has = ", ".join(f"{name} = {written[name]!r}" for name in unread)
+        raise ValueError(f"document fields {unread} are not read by kind {d['kind']!r} "
+                         f"as given: the loaded instance has {has}")
+    return instance
 
 
 def load_instance(spec):

@@ -17,15 +17,19 @@ Every point is carried lifted, as (x, K x, A x - b) stacked by
 ``ProblemInstance.lift`` (K is the linear map inside h, if declared), so
 one convex combination forms y_k or x_{k+1} with its images.  Work per
 line-search trial: one lift of the prox output v_{k+1} (one K and, if
-constrained, one A product), two ``h`` calls (at y_k and x_{k+1}) on
-carried K images, one unchecked composite prox and, if constrained, one
-A^T product.  The dual update reads A v_{k+1} - b from the lift; the
-trace row reuses h(x_{k+1}) and the carried A x_{k+1} - b, and so does
-its Lyapunov value, whose f(x*) and A x* - b the instance formed when it
-was built.  The carried images round differently from fresh products:
-under 1e-12 relative on the recorded objective of the benchmark games.
-Inputs are validated at the public boundary; each trial makes two
-finiteness checks.
+constrained, one A product), h with its gradient at y_k and h alone at
+x_{k+1} (``instance.h_value``), both on carried K images, one unchecked
+composite prox and, if constrained, one A^T product.  An instance that
+declares h = 0 (no oracle) makes neither h call.  The dual update reads
+A v_{k+1} - b from the lift; the trace row reuses h(x_{k+1}) and the
+carried A x_{k+1} - b, and so does its Lyapunov value, whose f(x*) and
+A x* - b the instance formed when it was built.  The carried images
+round differently from fresh products: under 1e-12 relative on the
+recorded objective of the benchmark games.  Inputs are validated at the
+public boundary; each trial makes two finiteness checks.
+
+``solve`` returns its rows as a :class:`Trace`, typed columns of about
+90 B per row that build an :class:`IterationRecord` when one is read.
 """
 
 from __future__ import annotations
@@ -34,7 +38,10 @@ import csv
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -44,6 +51,7 @@ __all__ = [
     "SolverState",
     "InnerResult",
     "IterationRecord",
+    "Trace",
     "SolverError",
     "LineSearchError",
     "initial_state",
@@ -176,6 +184,64 @@ class IterationRecord:
 TRACE_COLUMNS = ("k", "f_residual", "feasibility", "i_k", "M_k", "alpha_k",
                  "beta_k", "delta_k", "lyapunov", "wall_time_s", "objective")
 
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+
+
+def _drop(value):
+    """The append of an absent trace column."""
+
+
+class Trace(Sequence):
+    """The rows of a solve, stored as typed columns.
+
+    ``columns`` maps a field of :class:`IterationRecord` to its column:
+    ``array('q')`` for ``k`` and ``i_k``, ``array('d')`` for the rest,
+    about 90 B per row.  The ``f_residual`` and ``lyapunov`` columns
+    exist only when asked for (an instance with ``known_optimum`` or
+    ``known_saddle``); otherwise every row reads None there.
+    ``trace[i]`` (negative too) builds the row when it is read, with
+    Python int and float values; a slice returns a list of rows.
+    """
+
+    def __init__(self, f_residual=True, lyapunov=True):
+        kept = {"f_residual": f_residual, "lyapunov": lyapunov}
+        self.columns = {name: array("q" if name in ("k", "i_k") else "d")
+                        for name in _RECORD_FIELDS if kept.get(name, True)}
+        self._ordered = [self.columns.get(name) for name in _RECORD_FIELDS]
+        self._appends = tuple(_drop if col is None else col.append for col in self._ordered)
+
+    def append(self, k, objective, f_residual, feasibility, i_k, M_k, alpha_k, beta_k,
+               gamma_k, delta_k, lyapunov, wall_time_s):
+        """Add one row; an absent column drops its value.  Unrolled: it runs every iteration."""
+        (push_k, push_objective, push_f_residual, push_feasibility, push_i_k, push_M_k,
+         push_alpha_k, push_beta_k, push_gamma_k, push_delta_k, push_lyapunov,
+         push_wall_time_s) = self._appends
+        push_k(k)
+        push_objective(objective)
+        push_f_residual(f_residual)
+        push_feasibility(feasibility)
+        push_i_k(i_k)
+        push_M_k(M_k)
+        push_alpha_k(alpha_k)
+        push_beta_k(beta_k)
+        push_gamma_k(gamma_k)
+        push_delta_k(delta_k)
+        push_lyapunov(lyapunov)
+        push_wall_time_s(wall_time_s)
+
+    def __len__(self):
+        return len(self.columns["k"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(IterationRecord, *(repeat(None) if col is None else col[index]
+                                               for col in self._ordered)))
+        return IterationRecord(*(None if col is None else col[index] for col in self._ordered))
+
+    def __iter__(self):
+        return map(IterationRecord, *(repeat(None) if col is None else col
+                                      for col in self._ordered))
+
 
 def _parts(instance, lifted):
     """Views (x, K x, A x - b) of ``lifted``; the last is None when unconstrained."""
@@ -228,13 +294,16 @@ def inner_step(k, state, M_trial, instance, fixed_eps=None):
     n, end = state.x.size, state.x_lift.size - instance.dual_dimension
     y_lift = _average(state.x_lift, state.v_lift, alpha)
     y = y_lift[:n]
-    h_y, grad_y = instance.h(y, y_lift[n:end])
+    zero_h = instance.h_oracle is None  # h = 0: no oracle call and no linear term from h
+    h_y, grad_y = (0.0, None) if zero_h else instance.h(y, y_lift[n:end])
     if instance.constrained:
         lam_tilde = state.lam + (alpha / beta) * state.v_lift[end:]
-        c = grad_y + instance.A.T @ lam_tilde
+        c = instance.A.T @ lam_tilde
+        if not zero_h:
+            c = grad_y + c
     else:
         lam_tilde = state.lam
-        c = grad_y
+        c = np.zeros(n) if zero_h else grad_y
     if not (math.isfinite(h_y) and np.isfinite(c).all()):
         raise SolverError(f"non-finite h(y) or prox linear term at iteration {k} "
                           f"(M = {M_trial:g})")
@@ -246,8 +315,11 @@ def inner_step(k, state, M_trial, instance, fixed_eps=None):
     x_lift = _average(state.x_lift, v_lift, alpha)
     x_new = x_lift[:n]
     d = x_new - y
-    model = h_y + float(grad_y @ d) + 0.5 * M_trial * float(d @ d)
-    h_x, _ = instance.h(x_new, x_lift[n:end])
+    # the quadratic term stays when h = 0, so a non-finite prox output still raises
+    model = 0.5 * M_trial * float(d @ d)
+    if not zero_h:
+        model = h_y + float(grad_y @ d) + model
+    h_x = 0.0 if zero_h else instance.h_value(x_new, x_lift[n:end])
     if not math.isfinite(h_x - model):
         raise SolverError(f"non-finite h(x) - model at iteration {k} (M = {M_trial:g})")
 
@@ -299,41 +371,32 @@ def outer_update(state, accepted, i_k, instance):
     )
 
 
-def _record(state, instance, i_k, wall, h_at_x):
-    """Trace row for ``state``; ``h_at_x`` is h(state.x).
+def _record(trace, state, instance, i_k, wall, h_at_x):
+    """Append the trace row of ``state``; ``h_at_x`` is h(state.x).
 
     The carried A x_k - b serves feasibility and, when the instance has a
-    known saddle point, the Lyapunov value.
+    known saddle point, the Lyapunov value.  Returns the row's
+    (feasibility, f_residual) for the stopping test.
     """
     obj = h_at_x + instance.g_value(state.x)
     f_res = None if instance.known_optimum is None else obj - instance.known_optimum
     residual = _parts(instance, state.x_lift)[2]
+    feasibility = 0.0 if residual is None else math.sqrt(float(residual @ residual))
     lyap = None
     if instance.known_saddle is not None:
         lyap = instance.lyapunov(obj, residual, state.v, state.lam, state.gamma, state.beta)
-    return IterationRecord(
-        k=state.k,
-        objective=obj,
-        f_residual=f_res,
-        feasibility=0.0 if residual is None else math.sqrt(float(residual @ residual)),
-        i_k=i_k,
-        M_k=state.M,
-        alpha_k=state.alpha,
-        beta_k=state.beta,
-        gamma_k=state.gamma,
-        delta_k=state.delta,
-        lyapunov=lyap,
-        wall_time_s=wall,
-    )
+    trace.append(state.k, obj, f_res, feasibility, i_k, state.M, state.alpha, state.beta,
+                 state.gamma, state.delta, lyap, wall)
+    return feasibility, f_res
 
 
-def _targets_met(record, config):
+def _targets_met(feasibility, f_residual, config):
     if config.feasibility_target is None and config.gap_target is None:
         return False
-    if config.feasibility_target is not None and record.feasibility > config.feasibility_target:
+    if config.feasibility_target is not None and feasibility > config.feasibility_target:
         return False
     if config.gap_target is not None:
-        if record.f_residual is None or abs(record.f_residual) > config.gap_target:
+        if f_residual is None or abs(f_residual) > config.gap_target:
             return False
     return True
 
@@ -341,8 +404,8 @@ def _targets_met(record, config):
 def solve(instance, config=None, observer=None, fixed_eps=None):
     """Run the adaptive method for up to ``config.max_iterations`` steps.
 
-    Returns ``(final_state, trace)`` where the trace holds one record
-    per iterate including the starting point.  ``observer``, when
+    Returns ``(final_state, trace)`` where the :class:`Trace` holds one
+    row per iterate including the starting point.  ``observer``, when
     given, is called as ``observer(k, state, accepted, i_k, new_state)``
     after every accepted step and sees full-precision intermediates.
     ``fixed_eps``, when given, must be positive: the tolerance is then
@@ -354,17 +417,19 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     config = (config or SolverConfig()).resolved(instance)
     state = initial_state(instance, config)
     t0 = time.perf_counter()
-    h_at_x0 = instance.h(*_parts(instance, state.x_lift)[:2])[0]
-    trace = [_record(state, instance, 0, 0.0, h_at_x0)]
+    trace = Trace(f_residual=instance.known_optimum is not None,
+                  lyapunov=instance.known_saddle is not None)
+    _record(trace, state, instance, 0, 0.0,
+            instance.h_value(*_parts(instance, state.x_lift)[:2]))
     for k in range(config.max_iterations):
         accepted, i_k = line_search(k, state, instance, fixed_eps=fixed_eps)
         new_state = outer_update(state, accepted, i_k, instance)
         if observer is not None:
             observer(k, state, accepted, i_k, new_state)
         state = new_state
-        rec = _record(state, instance, i_k, time.perf_counter() - t0, accepted.h_at_x)
-        trace.append(rec)
-        if _targets_met(rec, config):
+        feasibility, f_res = _record(trace, state, instance, i_k, time.perf_counter() - t0,
+                                     accepted.h_at_x)
+        if _targets_met(feasibility, f_res, config):
             break
     return state, trace
 
@@ -378,9 +443,13 @@ def _fmt(value):
 
 
 def trace_to_csv(trace, path):
-    """Write trace rows with a stable column set (see TRACE_COLUMNS)."""
+    """Write a :class:`Trace` from its columns (see TRACE_COLUMNS); absent ones stay blank.
+
+    The csv module writes None as an empty cell and a float as its repr,
+    the cells :func:`_fmt` gives a row.
+    """
+    cells = [trace.columns.get(name, repeat(None)) for name in TRACE_COLUMNS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for r in trace:
-            writer.writerow([_fmt(getattr(r, c)) for c in TRACE_COLUMNS])
+        writer.writerows(zip(*cells))

@@ -7,9 +7,11 @@ prox by projected gradient or multiplier search, the squared-l1 prox by
 threshold bisection, the Lagrangian from its definition, and a
 line-by-line transcription of one inner solver step.  Two threshold
 routines scanning reversed sorted views are kept as bit-for-bit
-references for the contiguous ones in ``uapd.geometry``.
+references for the contiguous ones in ``uapd.geometry``, and a
+row-by-row trace writer for the column-wise ``trace_to_csv``.
 """
 
+import csv
 import math
 from typing import NamedTuple
 
@@ -251,6 +253,19 @@ def manual_inner_step(k, state, M_trial, instance, fixed_eps=None):
         "lam_tilde": lam_tilde, "v": v_new, "x": x_new, "model": model,
         "h_at_y": h_y, "h_at_x": h_x, "accept": h_x - model <= delta / 2.0,
     }
+
+
+def reference_trace_to_csv(trace, path, columns):
+    """The trace CSV written row by row, each cell formatted on its own."""
+    def fmt(value):
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for r in trace:
+            writer.writerow([fmt(getattr(r, c)) for c in columns])
 
 
 class StepRecorder:

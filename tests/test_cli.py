@@ -160,6 +160,27 @@ def test_instance_document_missing_a_stored_field_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "'b'" in err and err.count("\n") == 1
 
 
+def test_matrix_game_document_with_a_geometry_string_exits_2(tmp_path, capsys):
+    doc = problems.instance_to_dict(problems.make_matrix_game(3, 4, seed=1))
+    doc["geometry"] = "euclidean"  # a recipe spells it so; a document holds a dict
+    cfg = write_config(tmp_path / "run.json", {"instance": doc})
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'geometry'" in err and err.count("\n") == 1
+
+
+def test_document_field_its_kind_does_not_read_exits_2(tmp_path, capsys):
+    doc = problems.instance_to_dict(problems.make_basis_pursuit(4, 9, seed=2, sparsity=2))
+    cfg = write_config(tmp_path / "run.json", {"instance": {**doc, "mu": 0.7}, "output": "bad"})
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'mu'" in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("bad_*"))
+    # instance_to_dict writes mu = 0.0 for every kind: its default loads
+    cfg = write_config(tmp_path / "run.json", {"instance": doc, "solver": {"max_iterations": 3}})
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("command", ["solve", "flow"])
 def test_wrong_length_saddle_vector_exits_2_before_solving(tmp_path, capsys, command):
     doc = problems.instance_to_dict(problems.make_synthetic_qp(8, 3, mu=0.5, seed=12))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,31 @@ def test_matrix_game_oracle_brute_force():
         assert np.allclose(grad, np.concatenate([P[:, j], -P[i, :]]))
 
 
+def test_matrix_game_value_oracle_has_the_oracle_value_bits():
+    inst = make_matrix_game(30, 40, seed=3)
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        u = helpers.random_point(inst.geometry, rng)
+        image = inst.K(u)
+        assert inst.h_value(u, image) == inst.h(u, image)[0] == inst.h(u)[0]
+    nan = np.concatenate([np.full(30, np.nan), np.ones(40)])
+    assert np.isnan(inst.h_value(nan, inst.K(nan))) and np.isnan(inst.h(nan)[0])
+
+
+def test_matrix_game_holds_one_payoff_matrix():
+    make_matrix_game(2, 3, seed=0)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = make_matrix_game(100, 400, seed=61)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    P = inst.metadata["P"]
+    assert P.shape == (400, 100)
+    assert P.nbytes <= held < 1.5 * P.nbytes  # no second (n, m) array such as -P
+
+
 def test_matrix_game_tie_break_smallest_index():
     P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])  # first two columns tie
     from uapd.problems import _assemble_matrix_game
@@ -216,6 +242,16 @@ def test_basis_pursuit_planted_solution_is_feasible():
     assert inst.h(np.ones(20))[0] == 0.0
     assert inst.objective(x_true) == pytest.approx(0.5 * np.abs(x_true).sum() ** 2,
                                                    rel=1e-12)
+
+
+def test_basis_pursuit_declares_h_zero():
+    inst = make_basis_pursuit(6, 15, seed=11, sparsity=2)
+    x = np.random.default_rng(3).standard_normal(15)
+    assert inst.h_oracle is None
+    value, grad = inst.h(x)
+    assert value == 0.0 and np.array_equal(grad, np.zeros(15))
+    assert inst.h_value(x, x[:0]) == 0.0
+    assert inst.objective(x) == inst.g_value(x) == 0.5 * float(np.abs(x).sum()) ** 2
 
 
 def test_basis_pursuit_metadata_norm():
@@ -490,6 +526,26 @@ def test_unknown_kind_is_named():
 def test_recipe_without_its_required_field_raises(kind, field):
     with pytest.raises(ValueError, match=field):
         load_instance({"kind": kind, "m": 3, "n": 5, "seed": 0})
+
+
+def test_document_fields_its_kind_does_not_read_must_match_the_instance():
+    bp = instance_to_dict(make_basis_pursuit(4, 9, seed=2, sparsity=2))
+    steiner = instance_to_dict(make_steiner(3, 2, seed=0))
+    game = instance_to_dict(make_matrix_game(3, 4, seed=1))
+    for doc, name, value in ((bp, "mu", 0.7), (bp, "m", 5),
+                             (steiner, "geometry", {"kind": "entropy", "dimension": 2,
+                                                    "blocks": [2]}),
+                             (game, "geometry", {"kind": "euclidean", "dimension": 8})):
+        with pytest.raises(ValueError, match=f"'{name}'.* not read by kind"):
+            instance_from_dict({**doc, name: value})
+    # the written default of a field no kind but the QP reads, and a game's geometry
+    assert instance_from_dict({**bp, "mu": 0}).mu == 0.0
+    euclidean = {**game, "geometry": {"kind": "euclidean"}}
+    assert instance_from_dict(euclidean).geometry.kind == "euclidean"
+    with pytest.raises(ValueError, match="'geometry' must be a dict"):
+        instance_from_dict({**game, "geometry": "euclidean"})
+    with pytest.raises(ValueError, match=r"unknown instance document fields \['banana'\]"):
+        instance_from_dict({**bp, "banana": 1})
 
 
 def test_document_missing_a_stored_field_raises():

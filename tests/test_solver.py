@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from uapd.geometry import LOG_FLOOR, EntropyGeometry, EuclideanGeometry
 from uapd.problems import (ProblemInstance, load_instance, make_basis_pursuit,
                            make_matrix_game, make_regularized_matrix_game, make_steiner,
                            make_synthetic_qp)
-from uapd.solver import (LineSearchError, SolverConfig, SolverError, initial_state,
-                         inner_step, line_search, outer_update, solve,
+from uapd.solver import (IterationRecord, LineSearchError, SolverConfig, SolverError, Trace,
+                         initial_state, inner_step, line_search, outer_update, solve,
                          trace_to_csv, TRACE_COLUMNS)
 
 from uapd import solver
@@ -321,16 +323,28 @@ def test_non_finite_oracle_raises_solver_error():
                                       make_synthetic_qp(7, 3, mu=0.0, seed=3)],
                          ids=["matrix_game", "basis_pursuit", "synthetic_qp"])
 def test_one_oracle_call_per_point(instance):
-    oracle, calls = instance.h_oracle, [0]
+    calls = {"gradient": 0, "value": 0, "h": 0}
 
-    def counted(*args):  # (x) or, with a declared K, (x, K x)
-        calls[0] += 1
-        return oracle(*args)
-    instance.h_oracle = counted
+    def counting(name, fn):
+        def counted(*args):  # (x) or, with a declared K, (x, K x)
+            calls[name] += 1
+            return fn(*args)
+        return counted
+    if instance.h_oracle is not None:
+        instance.h_oracle = counting("gradient", instance.h_oracle)
+    if instance.h_value_oracle is not None:
+        instance.h_value_oracle = counting("value", instance.h_value_oracle)
+    instance.h = counting("h", instance.h)
     state, trace = solve(instance, SolverConfig(max_iterations=40))
-    # the k = 0 row, then h(y_k) and h(x_{k+1}) for every trial; f(x*) of a
-    # known saddle point was formed when the instance was built
-    assert calls[0] == 1 + 2 * (trace[-1].k + state.line_search_total)
+    trials = trace[-1].k + state.line_search_total
+    # h(y_k) with its gradient once per trial; h(x_{k+1}) and the k = 0 row by
+    # value alone: the game's value oracle, the QP's full oracle; basis pursuit
+    # declares h = 0 and calls nothing.  f(x*) of a known saddle point was
+    # formed when the instance was built.
+    want = {"matrix_game": {"gradient": trials, "value": 1 + trials, "h": trials},
+            "basis_pursuit": {"gradient": 0, "value": 0, "h": 0},
+            "synthetic_qp": {"gradient": 1 + 2 * trials, "value": 0, "h": 1 + 2 * trials}}
+    assert calls == want[instance.metadata["kind"]]
 
 
 def lifted_instances():
@@ -498,7 +512,69 @@ def test_config_resolution_defaults():
 
 
 # ---------------------------------------------------------------------------
-# trace export
+# trace storage and export
+
+RECORD_FIELDS = [f.name for f in dataclasses.fields(IterationRecord)]
+
+
+def traces_by_known_values():
+    """(trace, absent columns) for a saddle-point QP, a game and a Steiner problem."""
+    return [(solve(instance, SolverConfig(max_iterations=12))[1], absent)
+            for instance, absent in ((make_synthetic_qp(7, 3, mu=0.0, seed=3), set()),
+                                     (make_matrix_game(4, 6, seed=0), {"lyapunov"}),
+                                     (make_steiner(4, 3, seed=1), {"f_residual", "lyapunov"}))]
+
+
+def test_trace_rows_are_built_from_typed_columns():
+    for trace, absent in traces_by_known_values():
+        assert isinstance(trace, Trace) and isinstance(trace, Sequence)
+        assert set(trace.columns) == set(RECORD_FIELDS) - absent
+        assert {name: col.typecode for name, col in trace.columns.items()} == {
+            name: "q" if name in ("k", "i_k") else "d" for name in trace.columns}
+        rows = list(trace)
+        assert len(trace) == len(rows) == 13
+        assert [r.k for r in rows] == list(range(13))
+        assert trace[-1] == trace[12] == rows[-1] and trace[-13] == rows[0]
+        for index in (slice(None), slice(1, None), slice(2, 9, 3), slice(None, None, -1),
+                      slice(-4, -1), slice(20, 30)):
+            assert trace[index] == rows[index] and isinstance(trace[index], list)
+        for index in (13, -14):
+            with pytest.raises(IndexError):
+                trace[index]
+        for r in rows:
+            for name in RECORD_FIELDS:
+                want = (type(None) if name in absent
+                        else int if name in ("k", "i_k") else float)
+                assert type(getattr(r, name)) is want, name
+        assert list(reversed(trace)) == rows[::-1] and trace.index(rows[5]) == 5
+
+
+def test_trace_memory_per_row():
+    # a list of IterationRecords held 408 B per row; the columns hold ~90
+    instance = make_matrix_game(2, 3, seed=5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, trace = solve(instance, SolverConfig(max_iterations=20000))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20001
+    assert held / len(trace) <= 128
+
+
+def test_trace_csv_equals_row_wise_writer(tmp_path):
+    special = Trace(f_residual=True, lyapunov=False)
+    for k, value in enumerate((0.0, -0.0, float("inf"), float("-inf"), float("nan"),
+                               5e-324, 1.7976931348623157e308, 0.1, -1e-300)):
+        special.append(k, value, -value, value, 2 ** 62 + k, value, value, value, value,
+                       value, None, value)
+    traces = [trace for trace, _ in traces_by_known_values()] + [special]
+    for i, trace in enumerate(traces):
+        got, want = tmp_path / f"columns{i}.csv", tmp_path / f"rows{i}.csv"
+        trace_to_csv(trace, got)
+        helpers.reference_trace_to_csv(trace, want, TRACE_COLUMNS)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_trace_csv_schema_and_values(tmp_path):
