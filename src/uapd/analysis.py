@@ -190,8 +190,11 @@ def fit_rate(trace, column, k_min, k_max):
     """Least-squares slope of log(value) against log(k) over a window.
 
     ``trace`` is a sequence of iteration records; ``column`` names one
-    of their float attributes.  Values in the window must be positive.
+    of their float attributes.  The window must start at k >= 1 and its
+    values must be positive.
     """
+    if k_min < 1:
+        raise ValueError(f"k_min must be at least 1, got {k_min}")
     ks, vals = [], []
     for rec in trace:
         if k_min <= rec.k <= k_max:

@@ -229,17 +229,6 @@ def cmd_flow(cfg, base_dir, out_dir):
     return 0
 
 
-def _bounds_m_nu(section, instance):
-    if "M_nu" in section:
-        return float(section["M_nu"])
-    meta = instance.metadata
-    for key in ("lipschitz", "lipschitz_ref", "subgradient_diameter"):
-        if key in meta:
-            return float(meta[key])
-    raise ConfigError("config is missing the field 'bounds.M_nu' "
-                      "(no smoothness constant in instance metadata)")
-
-
 def cmd_bounds(cfg, base_dir, out_dir):
     instance = _resolve_instance(_require(cfg, "instance"), base_dir)
     config = _solver_config(cfg)
@@ -249,13 +238,27 @@ def cmd_bounds(cfg, base_dir, out_dir):
     for field in ("nu", "M_nu"):
         if field in section:
             _number(section[field], f"bounds.{field}")
+    # nu and M_nu default to the instance's Hoelder certificate, nu = 0 and
+    # no M_nu without one; the certificate's constant holds at its nu only
+    nu, m_nu = instance.holder or (0.0, None)
+    if section.get("nu", nu) != nu:
+        nu, m_nu = float(section["nu"]), None
+    m_nu = section.get("M_nu", m_nu)
+    if not 0.0 <= nu <= 1.0:
+        raise ConfigError(f"'bounds.nu' must lie in [0, 1], got {nu!r}")
+    if m_nu is None:
+        raise ConfigError(f"config is missing the field 'bounds.M_nu' (the instance "
+                          f"certifies no Hoelder constant at nu = {nu!r})")
+    if not m_nu > 0:
+        raise ConfigError(f"'bounds.M_nu' must be positive, got {m_nu!r}")
+    m_nu = float(m_nu)
     window = section.get("fit_window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2):
             raise ConfigError(f"'bounds.fit_window' must be [k_lo, k_hi], got {window!r}")
-        window = [int(_number(k, "bounds.fit_window")) for k in window]
-    nu = float(section.get("nu", 1.0 if instance.differentiable else 0.0))
-    m_nu = _bounds_m_nu(section, instance)
+        window = [_number(k, "bounds.fit_window", integer=True) for k in window]
+        if not 1 <= window[0] <= window[1]:
+            raise ConfigError(f"'bounds.fit_window' must have 1 <= k_lo <= k_hi, got {window!r}")
     prefix = cfg.get("output", "run")
 
     state, trace, _ = _run(instance, config, None)

@@ -11,9 +11,10 @@ with gamma(t) = mu + (gamma0 - mu) e^{-t} and beta(t) = e^{-t}
 evaluated analytically.  Integrating in w rather than v avoids
 differentiating grad phi(v) along the trajectory.
 
-Only smooth instances are accepted (differentiable h, no nonsmooth
-term); the point of the module is to check the exponential decay of
-the Lyapunov function, not to solve anything new.
+Only smooth instances are accepted (a Hoelder certificate with nu = 1,
+so h is differentiable, and no nonsmooth term); the point of the
+module is to check the exponential decay of the Lyapunov function, not
+to solve anything new.
 """
 
 from __future__ import annotations
@@ -62,10 +63,9 @@ def beta_of(t):
 
 
 def _check_smooth(instance):
-    if not instance.differentiable or instance.g_spec != "zero":
-        raise ValueError(
-            "flow integration requires a differentiable objective with no "
-            "nonsmooth term")
+    if instance.holder is None or instance.holder[0] != 1.0 or instance.g_spec != "zero":
+        raise ValueError("flow integration requires a differentiable objective (a holder "
+                         "certificate with nu = 1) with no nonsmooth term")
 
 
 def _interior(geometry, x):

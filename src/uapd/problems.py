@@ -79,6 +79,9 @@ class ProblemInstance:
     here, as ``objective_star`` and ``residual_star``.  ``known_optimum``
     is f(x*) when known.  ``a_norm`` is ||A||, computed once here (0.0
     when unconstrained) and also published as ``metadata["a_norm"]``.
+    ``holder`` is h's Hoelder certificate ``(nu, M_nu)``, with
+    ||grad h(x) - grad h(y)|| <= M_nu ||x - y||^nu in the Euclidean
+    norm, or None when the instance declares none.
     """
 
     h_oracle: object
@@ -89,7 +92,7 @@ class ProblemInstance:
     mu: float = 0.0
     known_saddle: tuple | None = None
     known_optimum: float | None = None
-    differentiable: bool = False
+    holder: tuple | None = None
     metadata: dict = field(default_factory=dict)
     K: object = None
     h_value_oracle: object = None
@@ -100,6 +103,10 @@ class ProblemInstance:
     def __post_init__(self):
         if not self.mu >= 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
+        if self.holder is not None and not (0 <= self.holder[0] <= 1
+                                            and 0 <= self.holder[1] < math.inf):
+            raise ValueError(f"holder must be (nu, M_nu) with nu in [0, 1] and M_nu "
+                             f"finite and nonnegative, got {self.holder!r}")
         if self.g_spec not in self.geometry.nonsmooth:
             raise ValueError(f"g_spec {self.g_spec!r} is not one of the nonsmooth terms "
                              f"{self.geometry.nonsmooth} that the geometry's prox solves")
@@ -293,16 +300,8 @@ def _assemble_matrix_game(P, seed, geometry_kind):
         geometry=geom,
         mu=0.0,
         known_optimum=0.0,
-        differentiable=False,
-        metadata={
-            "kind": "matrix_game",
-            "m": m,
-            "n": n,
-            "seed": seed,
-            "geometry": geometry_kind,
-            "subgradient_diameter": diameter,
-            "P": P,
-        },
+        holder=(0.0, diameter),
+        metadata={"kind": "matrix_game", "m": m, "n": n, "seed": seed, "P": P},
     )
 
 
@@ -338,14 +337,16 @@ def _assemble_regularized_game(P, eps, seed):
     if m < 2:
         raise ValueError("the smoothed game needs at least two columns")
     sigma = eps / (2.0 * np.log(m))
-    lips = float(np.max(np.abs(P)) ** 2 / (4.0 * sigma))
+    # z^T hess h z = Var_w(P^T z) / sigma <= (range of P^T z)^2 / (4 sigma)
+    # (Popoviciu) <= max_j ||P[:, j]||^2 ||z||^2 / sigma
+    lips = float(np.linalg.norm(P, axis=0).max() ** 2 / sigma)
     return ProblemInstance(
         h_oracle=_regularized_game_oracle(P, sigma),
         K=P.T.__matmul__,
         g_spec="zero",
         geometry=EntropyGeometry(n),
         mu=0.0,
-        differentiable=True,
+        holder=(1.0, lips),
         metadata={
             "kind": "regularized_matrix_game",
             "m": m,
@@ -353,7 +354,6 @@ def _assemble_regularized_game(P, eps, seed):
             "seed": seed,
             "eps": eps,
             "sigma": float(sigma),
-            "lipschitz_ref": lips,
             "P": P,
         },
     )
@@ -393,7 +393,7 @@ def _assemble_steiner(anchors, seed):
         g_spec="zero",
         geometry=EuclideanGeometry(n, domain="nonneg"),
         mu=0.0,
-        differentiable=False,
+        holder=(0.0, 2.0 * m),  # each summand's subgradient is a unit vector or 0
         metadata={"kind": "steiner", "m": m, "n": n, "seed": seed, "anchors": anchors},
     )
 
@@ -423,7 +423,6 @@ def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
         A=A,
         b=b,
         mu=0.0,
-        differentiable=False,
         metadata={
             "kind": "basis_pursuit",
             "m": m,
@@ -467,7 +466,6 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = H.shape[0]
-    eigs = np.linalg.eigvalsh(H)
     instance = ProblemInstance(
         h_oracle=_qp_oracle(c),
         K=H.__matmul__,
@@ -477,18 +475,9 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
         b=b,
         mu=float(mu),
         known_saddle=saddle,
-        differentiable=True,
-        metadata={
-            "kind": "synthetic_qp",
-            "m": A.shape[0],
-            "n": n,
-            "seed": seed,
-            "mu": float(mu),
-            "eig_min": float(eigs[0]),
-            "lipschitz": float(eigs[-1]),
-            "H": H,
-            "c": c,
-        },
+        holder=(1.0, float(np.linalg.eigvalsh(H)[-1])),
+        metadata={"kind": "synthetic_qp", "m": A.shape[0], "n": n, "seed": seed,
+                  "H": H, "c": c},
     )
     instance.known_optimum = instance.objective_star
     return instance

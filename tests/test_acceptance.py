@@ -228,7 +228,7 @@ def test_criterion_06_rate_exponents(slope_run, domination_run):
 
     run = domination_run
     resolved, instance = run["resolved"], run["instance"]
-    lip = instance.metadata["lipschitz"]
+    lip = instance.holder[1]
     gamma_min = min(resolved.gamma0, instance.mu)
     issues = analysis.rate_bound_preconditions(
         1.0, instance.mu, resolved.gamma0, instance.a_norm, lip, resolved.M0)
@@ -255,7 +255,7 @@ def test_criterion_06_rate_exponents(slope_run, domination_run):
 def test_criterion_07_line_search_bounds(game_variant_runs):
     game = game_variant_runs["instance"]
     trace = game_variant_runs["trace_uapd"]
-    m_est = game.metadata["subgradient_diameter"]
+    m_est = game.holder[1]
     m0 = 1.0
     worst_m = math.inf
     worst_count = math.inf
@@ -281,7 +281,7 @@ def test_criterion_08_over_estimation(game_variant_runs):
     trace_u = game_variant_runs["trace_uapd"]
     trace_f = game_variant_runs["trace_fixed"]
     eps = game_variant_runs["eps"]
-    m_est = game.metadata["subgradient_diameter"]
+    m_est = game.holder[1]
     m0 = 1.0
     checked = 0
     strict = True

@@ -255,6 +255,11 @@ def test_fit_rate_window_and_positivity_errors():
     trace = synthetic_trace(lambda k: (-1.0) ** k / k, range(1, 20))
     with pytest.raises(ValueError):
         analysis.fit_rate(trace, "beta_k", 1, 19)
+    # k = 0 has no logarithm: a window reaching below 1 is an error, not a dropped row
+    trace = synthetic_trace(lambda k: 1.0 / (k + 1), range(0, 20))
+    for k_min in (0, -5):
+        with pytest.raises(ValueError, match="k_min"):
+            analysis.fit_rate(trace, "beta_k", k_min, 10)
 
 
 def test_interpolated_beta_dominated_by_fitted_envelope():
@@ -265,7 +270,7 @@ def test_interpolated_beta_dominated_by_fitted_envelope():
     config = solver.SolverConfig(max_iterations=500, gamma0=0.002)
     state, trace = solver.solve(qp, config)
     resolved = config.resolved(qp)
-    lip = qp.metadata["lipschitz"]
+    lip = qp.holder[1]
     spec = analysis.decay_spec_for_solver(
         1.0, qp.mu, resolved.gamma0, min(resolved.gamma0, qp.mu), qp.a_norm, lip)
     betas = [rec.beta_k for rec in sorted(trace, key=lambda rec: rec.k)]
@@ -283,7 +288,7 @@ def test_interpolated_beta_same_window_domination_unregularized():
     config = solver.SolverConfig(max_iterations=500)
     state, trace = solver.solve(qp, config)
     resolved = config.resolved(qp)
-    lip = qp.metadata["lipschitz"]
+    lip = qp.holder[1]
     spec = analysis.decay_spec_for_solver(
         1.0, 0.0, resolved.gamma0, resolved.gamma0, qp.a_norm, lip)
     betas = [rec.beta_k for rec in sorted(trace, key=lambda rec: rec.k)]

@@ -333,6 +333,34 @@ def test_bounds_command_accepts_overrides(tmp_path):
         summary = json.load(fh)
     assert summary["nu"] == 0.0
     assert summary["fit_window"] == [5, 60]
-    # M_nu falls back to the subgradient diameter from metadata
+    # M_nu falls back to the subgradient bound of the instance's certificate
     game = problems.make_matrix_game(4, 5, seed=2)
-    assert summary["M_nu"] == pytest.approx(game.metadata["subgradient_diameter"])
+    assert summary["M_nu"] == pytest.approx(game.holder[1])
+
+
+@pytest.mark.parametrize("section", [
+    {"nu": 1.5}, {"nu": -0.5}, {"M_nu": -3}, {"M_nu": 0}, {"nu": 0.5},
+    {"fit_window": [0, 10]}, {"fit_window": [-5, 10]}, {"fit_window": [10.5, 20]},
+], ids=["nu-above-1", "nu-below-0", "negative-M_nu", "zero-M_nu", "nu-without-its-M_nu",
+        "window-from-0", "window-from-negative", "fractional-window"])
+def test_bounds_command_rejects_a_malformed_section_with_exit_2(tmp_path, capsys, section):
+    # a nu other than the certificate's needs its own M_nu; k = 0 has no log
+    cfg = write_config(tmp_path / "run.json",
+                       {"instance": {"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 0.0,
+                                     "seed": 12},
+                        "solver": {"max_iterations": 50}, "bounds": section, "output": "bad"})
+    assert main(["bounds", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'bounds." in err and err.count("\n") == 1
+    assert not (tmp_path / "bad_bounds.csv").exists()
+
+
+def test_bounds_command_reads_the_steiner_certificate(tmp_path):
+    cfg = write_config(tmp_path / "run.json",
+                       {"instance": {"kind": "steiner", "m": 6, "n": 3, "seed": 4},
+                        "solver": {"max_iterations": 120}, "output": "steiner"})
+    assert main(["bounds", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "steiner_bounds_summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert (summary["nu"], summary["M_nu"]) == (0.0, 12.0)
+    assert summary["fit_window"] == [10, 100]

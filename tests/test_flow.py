@@ -24,7 +24,7 @@ def entropy_quadratic(c=(0.5, 0.3, 0.2)):
     return ProblemInstance(
         h_oracle=oracle, g_spec="zero", geometry=EntropyGeometry(c.size),
         known_saddle=(c.copy(), np.zeros(0)), known_optimum=0.0,
-        differentiable=True)
+        holder=(1.0, 1.0))
 
 
 def test_schedule_closed_forms():
@@ -111,7 +111,7 @@ def test_gross_step_leaves_simplex_interior():
         h_oracle=lambda x: (float(np.dot(steep, x)), steep.copy()),
         g_spec="zero", geometry=EntropyGeometry(3),
         known_saddle=(np.array([0.0, 1.0, 0.0]), np.zeros(0)),
-        known_optimum=-35.0, differentiable=True)
+        known_optimum=-35.0, holder=(1.0, 0.0))
     with pytest.raises(flow.FlowDomainError) as err:
         flow.integrate(inst, t_end=20.0, dt=2.5)
     assert err.value.last_state.t == pytest.approx(0.0)
@@ -132,7 +132,7 @@ def test_integrate_argument_validation():
     anon = ProblemInstance(
         h_oracle=lambda x: (float(np.dot(x, x)), 2.0 * x), g_spec="zero",
         geometry=problems.make_synthetic_qp(3, 1, mu=0.0, seed=0).geometry.__class__(3),
-        differentiable=True)
+        holder=(1.0, 2.0))
     with pytest.raises(ValueError):
         flow.integrate(anon, t_end=1.0, dt=0.1)
 
@@ -141,7 +141,7 @@ def test_default_gamma0_matches_the_solver_without_a_norm_metadata():
     made = problems.make_synthetic_qp(7, 3, mu=0.25, seed=17, a_norm=0.5)
     qp = ProblemInstance(h_oracle=made.h_oracle, K=made.K, g_spec="zero",
                          geometry=made.geometry, A=made.A, b=made.b, mu=made.mu,
-                         known_saddle=made.known_saddle, differentiable=True)
+                         known_saddle=made.known_saddle, holder=made.holder)
     gamma0 = SolverConfig().resolved(qp).gamma0
     assert gamma0 == pytest.approx(0.25, rel=1e-12)  # min(1, 0.5^2)
     default = flow.integrate(qp, t_end=0.05, dt=0.01)

@@ -158,7 +158,7 @@ def test_matrix_game_value_nonnegative_and_metadata():
     col = np.linalg.norm(P, axis=0).max()
     row = np.linalg.norm(P, axis=1).max()
     expected = 2.0 * np.sqrt(col ** 2 + row ** 2)
-    assert inst.metadata["subgradient_diameter"] == pytest.approx(expected, rel=1e-12)
+    assert inst.holder[1] == pytest.approx(expected, rel=1e-12)
     # the minimax value of the product form is 0, so f >= 0 on the domain
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -197,7 +197,7 @@ def test_regularized_game_gradient_finite_difference():
     _, grad = inst.h(x)
     fd = helpers.finite_difference_gradient(lambda u: inst.h(u)[0], x)
     assert np.max(np.abs(grad - fd)) < 1e-5
-    assert inst.differentiable
+    assert inst.holder[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +291,14 @@ def test_instance_rejects_a_negative_or_nan_mu(mu):
                         geometry=EuclideanGeometry(3), mu=mu)
 
 
+@pytest.mark.parametrize("holder", [(-0.1, 1.0), (1.5, 1.0), (float("nan"), 1.0), (1.0, -3.0),
+                                    (1.0, float("inf")), (0.0, float("nan"))])
+def test_instance_rejects_a_holder_outside_its_range(holder):
+    with pytest.raises(ValueError, match="holder must be"):
+        ProblemInstance(h_oracle=lambda x: (0.0, np.zeros(3)), g_spec="zero",
+                        geometry=EuclideanGeometry(3), holder=holder)
+
+
 @pytest.mark.parametrize("geometry", [EntropyGeometry(6, blocks=(2, 4)), EuclideanGeometry(6),
                                       EuclideanGeometry(6, domain="nonneg"),
                                       EuclideanGeometry(6, domain="simplex", blocks=(2, 4))],
@@ -357,7 +365,7 @@ def test_synthetic_qp_kkt_and_spectrum():
         assert np.linalg.norm(inst.A @ xs - inst.b) < 1e-8
         eigs = np.linalg.eigvalsh(H)
         assert eigs[0] == pytest.approx(mu, abs=1e-9)
-        assert inst.metadata["lipschitz"] == pytest.approx(eigs[-1], rel=1e-12)
+        assert inst.holder[1] == pytest.approx(eigs[-1], rel=1e-12)
         assert inst.mu == mu
 
 

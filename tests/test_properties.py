@@ -156,6 +156,22 @@ def instances(draw):
     return make_synthetic_qp(n, m, draw(st.floats(0.0, 1.0)), seed, a_norm=a_norm)
 
 
+@PROPERTY
+@given(instances(), st.data())
+def test_holder_certificate_bounds_the_gradient_change(instance, data):
+    # the Euclidean norm of the line-search model 0.5 M ||d||^2, on pairs
+    # x, x + t (y - x) of feasible points at three distances
+    if instance.holder is None:
+        assert instance.h_oracle is None  # basis pursuit: h = 0
+        return
+    nu, m_nu = instance.holder
+    x, y = (data.draw(points(instance.geometry)) for _ in range(2))
+    for t in (1.0, 1e-1, 1e-3):
+        z = x + t * (y - x)
+        change = float(np.linalg.norm(instance.h(x)[1] - instance.h(z)[1]))
+        assert change <= m_nu * float(np.linalg.norm(x - z)) ** nu * (1.0 + 1e-9)
+
+
 def replay(instance):
     """Every trace field but wall_time_s, or the error the solve raised."""
     try:
@@ -172,4 +188,5 @@ def replay(instance):
 def test_json_round_trip_replays_bit_identical_trace(instance):
     clone = instance_from_dict(json.loads(json.dumps(instance_to_dict(instance))))
     assert clone.metadata.get("a_norm") == instance.metadata.get("a_norm")
+    assert clone.holder == instance.holder
     assert replay(clone) == replay(instance)

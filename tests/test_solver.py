@@ -276,7 +276,7 @@ def test_line_search_cap_raises_with_trial_log(monkeypatch):
         return 0.0, np.full(n, 1e8)
 
     instance = ProblemInstance(h_oracle=lying_oracle, g_spec="zero",
-                               geometry=EuclideanGeometry(n), differentiable=True)
+                               geometry=EuclideanGeometry(n))
     monkeypatch.setattr(solver, "LINE_SEARCH_CAP", 3)
     with pytest.raises(LineSearchError) as err:
         solve(instance, SolverConfig(max_iterations=1))
@@ -311,7 +311,7 @@ def test_non_finite_oracle_raises_solver_error():
     for geometry, g_spec in setups:
         for oracle in (nan_value, nan_gradient, inf_at_candidate_only()):
             instance = ProblemInstance(h_oracle=oracle, g_spec=g_spec,
-                                       geometry=geometry, differentiable=True)
+                                       geometry=geometry)
             with pytest.raises(SolverError) as err:
                 solve(instance, SolverConfig(max_iterations=1))
             # raised by the finiteness checks, not by exhausting the line search
