@@ -15,25 +15,33 @@ file prefix.
 ``flow`` runs need a ``flow`` section with ``t_end`` and ``dt``;
 ``bounds`` accepts a ``bounds`` section (nu, M_nu, fit_window).
 
-Outputs are CSV (UTF-8, header row, '.' decimal separator) plus a
-summary JSON for solve/compare runs.  With a fixed seed the CSVs are
-reproducible byte for byte except for the wall-clock column.
+``main`` resolves the instance, the SolverConfig, the output prefix
+and the ``--out`` directory once and hands each ``cmd_*`` the config,
+the instance, the SolverConfig and a map from file suffix to path.
+Every CSV is written by the csv module in its default dialect (CRLF
+line ends, UTF-8, a header row, None as an empty cell, floats by repr)
+and every summary by one JSON writer.  With a fixed seed the CSVs are
+reproducible byte for byte except for the wall-clock column.  A bad
+config, an unreadable config or instance file and an unusable
+``--out`` exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
 import time
+from itertools import zip_longest
 
 from .analysis import (decay_spec_for_solver, envelope, fit_rate,
                        rate_bound_preconditions)
 from .flow import integrate, trajectory_to_csv
 from .problems import load_instance
-from .solver import SolverConfig, SolverError, _fmt, solve, trace_to_csv
+from .solver import SolverConfig, SolverError, solve, trace_to_csv
 
 __all__ = ["main", "ConfigError", "cmd_solve", "cmd_compare", "cmd_flow", "cmd_bounds"]
 
@@ -43,13 +51,28 @@ class ConfigError(Exception):
 
 
 def _load_json(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write_json(path, summary):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _require(cfg, field):
@@ -117,11 +140,6 @@ def _variant(cfg):
     return None if name == "uapd" else _fixed_eps(eps)
 
 
-def _out_path(out_dir, prefix, suffix):
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, f"{prefix}_{suffix}")
-
-
 def _run(instance, config, eps):
     t0 = time.perf_counter()
     state, trace = solve(instance, config, fixed_eps=eps)
@@ -149,71 +167,38 @@ def _summary(cfg, instance, state, trace, wall, eps):
     return out
 
 
-def cmd_solve(cfg, base_dir, out_dir):
-    instance = _resolve_instance(_require(cfg, "instance"), base_dir)
-    config = _solver_config(cfg)
+def cmd_solve(cfg, instance, config, out):
     eps = _variant(cfg)
-    prefix = cfg.get("output", "run")
     state, trace, wall = _run(instance, config, eps)
-    trace_to_csv(trace, _out_path(out_dir, prefix, "trace.csv"))
-    with open(_out_path(out_dir, prefix, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(_summary(cfg, instance, state, trace, wall, eps), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    trace_to_csv(trace, out("trace.csv"))
+    _write_json(out("summary.json"), _summary(cfg, instance, state, trace, wall, eps))
     return 0
 
 
-def _f_value(record):
-    """Objective residual when the optimum is known, raw objective otherwise."""
-    if record is None:
-        return None
-    return record.objective if record.f_residual is None else record.f_residual
-
-
-def _merged_rows(trace_a, trace_b):
-    """Align two traces on k; blank cells where one run stopped earlier."""
-    rows = []
-    for i in range(max(len(trace_a), len(trace_b))):
-        ra = trace_a[i] if i < len(trace_a) else None
-        rb = trace_b[i] if i < len(trace_b) else None
-        k = ra.k if ra is not None else rb.k
-        rows.append((
-            k,
-            _f_value(ra), _f_value(rb),
-            ra.M_k if ra else None, rb.M_k if rb else None,
-            ra.i_k if ra else None, rb.i_k if rb else None,
-        ))
-    return rows
-
-
-def cmd_compare(cfg, base_dir, out_dir):
-    instance = _resolve_instance(_require(cfg, "instance"), base_dir)
-    config = _solver_config(cfg)
+def cmd_compare(cfg, instance, config, out):
     eps = _fixed_eps(cfg.get("eps", 1e-3))
-    prefix = cfg.get("output", "run")
     state_u, trace_u, wall_u = _run(instance, config, None)
     state_b, trace_b, wall_b = _run(instance, config, eps)
-    path = _out_path(out_dir, prefix, "compare.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,f_UAPD,f_base,M_UAPD,M_base,ik_UAPD,ik_base\n")
-        for row in _merged_rows(trace_u, trace_b):
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
-    summary = {
+    cols_u, cols_b = trace_u.columns, trace_b.columns
+    # rows align on k, blank where one run stopped earlier; f is the
+    # objective residual when the optimum is known, the raw objective otherwise
+    _write_csv(out("compare.csv"),
+               ("k", "f_UAPD", "f_base", "M_UAPD", "M_base", "ik_UAPD", "ik_base"),
+               zip_longest(max(cols_u["k"], cols_b["k"], key=len),
+                           cols_u.get("f_residual", cols_u["objective"]),
+                           cols_b.get("f_residual", cols_b["objective"]),
+                           cols_u["M_k"], cols_b["M_k"], cols_u["i_k"], cols_b["i_k"]))
+    _write_json(out("compare_summary.json"), {
         "eps": eps,
         "uapd": {"iterations": trace_u[-1].k, "wall_time_s": wall_u,
                  "line_search_total": state_u.line_search_total},
         "fixed_tolerance": {"iterations": trace_b[-1].k, "wall_time_s": wall_b,
                             "line_search_total": state_b.line_search_total},
-    }
-    with open(_out_path(out_dir, prefix, "compare_summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return 0
 
 
-def cmd_flow(cfg, base_dir, out_dir):
-    instance = _resolve_instance(_require(cfg, "instance"), base_dir)
+def cmd_flow(cfg, instance, config, out):
     section = _require(cfg, "flow")
     if not isinstance(section, dict):
         raise ConfigError("'flow' must be a dict with 't_end' and 'dt'")
@@ -221,17 +206,13 @@ def cmd_flow(cfg, base_dir, out_dir):
         if field not in section:
             raise ConfigError(f"config is missing the field 'flow.{field}'")
         _number(section[field], f"flow.{field}")
-    t_end, dt = float(section["t_end"]), float(section["dt"])
-    gamma0 = _solver_config(cfg).resolved(instance).gamma0
-    prefix = cfg.get("output", "run")
-    trajectory = integrate(instance, t_end=t_end, dt=dt, gamma0=gamma0)
-    trajectory_to_csv(trajectory, instance, _out_path(out_dir, prefix, "flow.csv"))
+    trajectory = integrate(instance, t_end=float(section["t_end"]), dt=float(section["dt"]),
+                           gamma0=config.resolved(instance).gamma0)
+    trajectory_to_csv(trajectory, instance, out("flow.csv"))
     return 0
 
 
-def cmd_bounds(cfg, base_dir, out_dir):
-    instance = _resolve_instance(_require(cfg, "instance"), base_dir)
-    config = _solver_config(cfg)
+def cmd_bounds(cfg, instance, config, out):
     section = cfg.get("bounds", {})
     if not isinstance(section, dict):
         raise ConfigError("'bounds' must be a dict")
@@ -259,25 +240,21 @@ def cmd_bounds(cfg, base_dir, out_dir):
         window = [_number(k, "bounds.fit_window", integer=True) for k in window]
         if not 1 <= window[0] <= window[1]:
             raise ConfigError(f"'bounds.fit_window' must have 1 <= k_lo <= k_hi, got {window!r}")
-    prefix = cfg.get("output", "run")
 
-    state, trace, _ = _run(instance, config, None)
+    _, trace = solve(instance, config)
     gamma0, mu = config.resolved(instance).gamma0, instance.mu
     gamma_min = min(gamma0, mu) if mu > 0 else gamma0
     spec = decay_spec_for_solver(nu, mu, gamma0, gamma_min, instance.a_norm, m_nu)
-    k_hi_default = min(100, trace[-1].k)
-    k_lo, k_hi = window or (10, k_hi_default)
-    raw = {r.k: envelope(spec, r.k) for r in trace}
-    fits = [r.beta_k / raw[r.k] for r in trace if k_lo <= r.k <= k_hi]
+    ks, betas = trace.columns["k"], trace.columns["beta_k"]
+    k_lo, k_hi = window or (10, min(100, ks[-1]))
+    raw = [envelope(spec, k) for k in ks]
+    fits = [beta / env for k, beta, env in zip(ks, betas, raw) if k_lo <= k <= k_hi]
     if not fits:
         raise ConfigError(f"fit_window [{k_lo}, {k_hi}] selects no iterations")
     scale = max(fits)
+    _write_csv(out("bounds.csv"), ("k", "beta", "envelope"),
+               zip(ks, betas, [scale * env for env in raw]))
 
-    path = _out_path(out_dir, prefix, "bounds.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,beta,envelope\n")
-        for r in trace:
-            fh.write(f"{r.k},{r.beta_k!r},{scale * raw[r.k]!r}\n")
     summary = {
         "nu": nu,
         "M_nu": m_nu,
@@ -292,10 +269,7 @@ def cmd_bounds(cfg, base_dir, out_dir):
         summary["beta_slope"] = fit_rate(trace, "beta_k", k_lo, max(k_hi, k_lo + 1))
     except ValueError:
         pass
-    with open(_out_path(out_dir, prefix, "bounds_summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out("bounds_summary.json"), summary)
     return 0
 
 
@@ -325,7 +299,16 @@ def main(argv=None):
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
         base_dir = os.path.dirname(os.path.abspath(args.config))
-        return _COMMANDS[args.command](cfg, base_dir, args.out)
+        instance = _resolve_instance(_require(cfg, "instance"), base_dir)
+        config = _solver_config(cfg)
+        prefix = cfg.get("output", "run")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out} is not a usable directory: "
+                              f"{exc.strerror}") from exc
+        return _COMMANDS[args.command](
+            cfg, instance, config, lambda suffix: os.path.join(args.out, f"{prefix}_{suffix}"))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

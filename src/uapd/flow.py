@@ -19,6 +19,7 @@ to solve anything new.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -169,11 +170,12 @@ def integrate(instance, t_end, dt, gamma0=None, x0=None, v0=None, lambda0=None):
 
 
 def trajectory_to_csv(trajectory, instance, path):
-    """Write (t, lyapunov, et_lyapunov, feasibility) rows for plotting."""
-    lines = ["t,lyapunov,et_lyapunov,feasibility"]
-    for state, lyap in trajectory:
-        scaled = math.exp(state.t) * lyap
-        feas = instance.feasibility(state.x)
-        lines.append(f"{state.t!r},{lyap!r},{scaled!r},{feas!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write (t, lyapunov, et_lyapunov, feasibility) rows for plotting.
+
+    The csv module's default dialect, as :func:`uapd.solver.trace_to_csv`.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t", "lyapunov", "et_lyapunov", "feasibility"))
+        writer.writerows((state.t, lyap, math.exp(state.t) * lyap, instance.feasibility(state.x))
+                         for state, lyap in trajectory)

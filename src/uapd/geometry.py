@@ -284,13 +284,17 @@ class EntropyGeometry(BregmanGeometry):
         self._check_nonneg(x, "x")
         return 1.0 + _floored_log(x)
 
-    def grad_conj(self, w):
-        w = _check_vector(w, self.dimension, "w")
-        out = np.empty_like(w)
+    def _softmax(self, a):
+        """Per-block softmax of ``a`` with a max shift, in place; returns ``a``."""
         for sl in self._slices:
-            e = np.exp(w[sl] - w[sl].max())
-            out[sl] = e / e.sum()
-        return out
+            e = a[sl]
+            e -= e.max()
+            np.exp(e, out=e)
+            e /= e.sum()
+        return a
+
+    def grad_conj(self, w):
+        return self._softmax(_check_vector(w, self.dimension, "w").copy())
 
     def divergence(self, x, y):
         x = _check_vector(x, self.dimension, "x")
@@ -315,12 +319,7 @@ class EntropyGeometry(BregmanGeometry):
             a = (rho * _floored_log(v) - c) / s
         else:
             a = (mu * _floored_log(y) + rho * _floored_log(v) - c) / s
-        for sl in self._slices:  # softmax per block, in place
-            e = a[sl]
-            e -= e.max()
-            np.exp(e, out=e)
-            e /= e.sum()
-        return a
+        return self._softmax(a)
 
     def to_dict(self):
         return {"kind": self.kind, "dimension": self.dimension, "blocks": list(self.blocks)}

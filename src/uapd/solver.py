@@ -434,22 +434,14 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     return state, trace
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def trace_to_csv(trace, path):
     """Write a :class:`Trace` from its columns (see TRACE_COLUMNS); absent ones stay blank.
 
-    The csv module writes None as an empty cell and a float as its repr,
-    the cells :func:`_fmt` gives a row.
+    The csv module's default dialect: CRLF line ends, None as an empty
+    cell, a float as its repr.
     """
     cells = [trace.columns.get(name, repeat(None)) for name in TRACE_COLUMNS]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         writer.writerows(zip(*cells))

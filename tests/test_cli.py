@@ -4,12 +4,14 @@ import csv
 import json
 import math
 import os
+from itertools import zip_longest
 
 import pytest
 
-from uapd import problems
+from uapd import cli, problems
 from uapd.cli import main
-from uapd.solver import TRACE_COLUMNS
+from uapd.flow import integrate
+from uapd.solver import SolverConfig, TRACE_COLUMNS, solve
 
 
 def write_config(path, payload):
@@ -119,12 +121,27 @@ def test_instance_can_be_a_serialized_snapshot(tmp_path):
 
 def test_instance_file_errors_exit_2_with_one_error_line(tmp_path, capsys):
     (tmp_path / "inst.json").write_text("{not json", encoding="utf-8")
-    for name, message in (("inst.json", "not valid JSON"), ("absent.json", "not found")):
+    (tmp_path / "latin1.json").write_bytes('{"kind": "caf\u00e9"}'.encode("latin-1"))
+    (tmp_path / "inst_dir").mkdir()
+    for name, message in (("inst.json", "not valid JSON"), ("absent.json", "not found"),
+                          ("latin1.json", "not valid JSON"), ("inst_dir", "cannot read")):
         cfg = write_config(tmp_path / "run.json", {"instance": name})
         assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert name in err
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/below"])
+def test_unusable_out_exits_2_before_solving(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path / "run.json", qp_config())
+    assert main(["solve", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--out" in err and err.count("\n") == 1
+    assert calls == []
 
 
 def test_operator_norm_overflow_exits_2_with_one_error_line(tmp_path, capsys):
@@ -215,6 +232,15 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
     assert main(["solve", str(bad_json)]) == 2
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"output": "caf\u00e9"}'.encode("latin-1"))
+    assert main(["solve", str(latin1)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+    (tmp_path / "cfg_dir").mkdir()
+    assert main(["solve", str(tmp_path / "cfg_dir")]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
     listy = write_config(tmp_path / "list.json", [1, 2, 3])
     assert main(["solve", listy]) == 2
@@ -364,3 +390,56 @@ def test_bounds_command_reads_the_steiner_certificate(tmp_path):
         summary = json.load(fh)
     assert (summary["nu"], summary["M_nu"]) == (0.0, 12.0)
     assert summary["fit_window"] == [10, 100]
+
+
+def csv_cell(value):
+    """The csv module's default cell: empty for None, repr for a float, str otherwise."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def test_every_command_writes_one_csv_dialect(tmp_path):
+    qp = {"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 0.5, "seed": 12}
+    # the targets stop the two compare variants at different k
+    solver = {"max_iterations": 400, "feasibility_target": 1e-2, "gap_target": 1e-2}
+    instance, config = problems.load_instance(qp), SolverConfig(**solver)
+    _, trace = solve(instance, config)
+    _, trace_eps = solve(instance, config, fixed_eps=1e-2)
+    assert len(trace) != len(trace_eps)
+    trajectory = integrate(instance, t_end=0.5, dt=0.05,
+                           gamma0=config.resolved(instance).gamma0)
+
+    def f_value(record):
+        return record.objective if record.f_residual is None else record.f_residual
+
+    compare = [[str((ra or rb).k)] + [csv_cell(None if r is None else get(r))
+                                      for get in (f_value, lambda r: r.M_k, lambda r: r.i_k)
+                                      for r in (ra, rb)]
+               for ra, rb in zip_longest(trace, trace_eps)]
+    expected = {
+        "solve": [[csv_cell(getattr(r, name)) for name in TRACE_COLUMNS if name != "wall_time_s"]
+                  for r in trace],
+        "compare": compare,
+        "flow": [[repr(state.t), repr(lyap), repr(math.exp(state.t) * lyap),
+                  repr(instance.feasibility(state.x))] for state, lyap in trajectory],
+        "bounds": [[str(r.k), repr(r.beta_k)] for r in trace],
+    }
+    suffixes = {"solve": "trace.csv", "compare": "compare.csv", "flow": "flow.csv",
+                "bounds": "bounds.csv"}
+    for command, suffix in suffixes.items():
+        cfg = write_config(tmp_path / f"{command}.json",
+                           {"instance": qp, "solver": solver, "eps": 1e-2, "output": command,
+                            "flow": {"t_end": 0.5, "dt": 0.05},
+                            "bounds": {"fit_window": [5, 50]}})
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 0
+        path = tmp_path / "out" / f"{command}_{suffix}"
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), command
+        rows = read_csv(path)[1:]
+        if command == "solve":
+            wall = TRACE_COLUMNS.index("wall_time_s")
+            rows = [row[:wall] + row[wall + 1:] for row in rows]
+        elif command == "bounds":
+            rows = [row[:2] for row in rows]
+        assert rows == expected[command], command
