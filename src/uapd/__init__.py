@@ -17,7 +17,7 @@ from .solver import (IterationRecord, LineSearchError, SolverConfig, SolverError
 from .analysis import (DecayBoundSpec, beta_rate_bound, decay_spec_for_solver,
                        envelope, fit_rate, holder_constant,
                        line_search_total_bound, mk_bound, rate_bound_preconditions)
-from .flow import FlowDomainError, FlowState, flow_lyapunov, flow_rhs, integrate
+from .flow import FlowDomainError, FlowState, flow_lyapunov, integrate
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,6 @@ __all__ = [
     "DecayBoundSpec", "beta_rate_bound", "decay_spec_for_solver", "envelope",
     "fit_rate", "holder_constant", "line_search_total_bound", "mk_bound",
     "rate_bound_preconditions",
-    "FlowDomainError", "FlowState", "flow_lyapunov", "flow_rhs", "integrate",
+    "FlowDomainError", "FlowState", "flow_lyapunov", "integrate",
     "__version__",
 ]

@@ -11,13 +11,15 @@ A config names an instance (inline recipe dict, inline serialized
 instance, or a path to a JSON file holding either), an optional
 ``solver`` section with SolverConfig fields, a ``variant`` ("uapd" or
 "fixed_tolerance", which needs a top-level ``eps``), and an ``output``
-file prefix.
+file prefix (a non-empty string with no path separator or NUL).
 ``flow`` runs need a ``flow`` section with ``t_end`` and ``dt``;
-``bounds`` accepts a ``bounds`` section (nu, M_nu, fit_window).
+``bounds`` accepts a ``bounds`` section (nu, M_nu, fit_window).  Any
+other top-level key exits 2.
 
-``main`` resolves the instance, the SolverConfig, the output prefix
-and the ``--out`` directory once and hands each ``cmd_*`` the config,
-the instance, the SolverConfig and a map from file suffix to path.
+``main`` checks the top-level keys, resolves the output prefix, the
+instance, the SolverConfig and the ``--out`` directory once, and hands
+each ``cmd_*`` the config, the instance, the SolverConfig and a map
+from file suffix to path.
 Every CSV is written by the csv module in its default dialect (CRLF
 line ends, UTF-8, a header row, None as an empty cell, floats by repr)
 and every summary by one JSON writer.  With a fixed seed the CSVs are
@@ -48,6 +50,10 @@ __all__ = ["main", "ConfigError", "cmd_solve", "cmd_compare", "cmd_flow", "cmd_b
 
 class ConfigError(Exception):
     """Malformed or incomplete run configuration (exit code 2)."""
+
+
+# the top-level config keys some command reads
+_CONFIG_KEYS = {"instance", "solver", "variant", "eps", "output", "flow", "bounds"}
 
 
 def _load_json(path):
@@ -298,10 +304,17 @@ def main(argv=None):
         cfg = _load_json(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
+        unknown = set(cfg) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config fields {sorted(unknown)}")
+        prefix = cfg.get("output", "run")
+        if not (isinstance(prefix, str) and prefix and os.path.basename(prefix) == prefix
+                and "\0" not in prefix):
+            raise ConfigError(f"'output' must be a non-empty file name prefix with no path "
+                              f"separator or NUL, got {prefix!r}")
         base_dir = os.path.dirname(os.path.abspath(args.config))
         instance = _resolve_instance(_require(cfg, "instance"), base_dir)
         config = _solver_config(cfg)
-        prefix = cfg.get("output", "run")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -27,16 +27,8 @@ import numpy as np
 
 from .solver import SolverConfig
 
-__all__ = [
-    "FlowState",
-    "FlowDomainError",
-    "gamma_of",
-    "beta_of",
-    "flow_rhs",
-    "flow_lyapunov",
-    "integrate",
-    "trajectory_to_csv",
-]
+__all__ = ["FlowState", "FlowDomainError", "gamma_of", "beta_of", "flow_lyapunov",
+           "integrate", "trajectory_to_csv"]
 
 
 @dataclass
@@ -77,11 +69,11 @@ def _interior(geometry, x):
     return True
 
 
-def _rhs(t, x, w, lam, instance, gamma0, last_state):
+def _rhs(t, z, instance, gamma0):
+    """Time derivative of the stacked state z = (x, w, lam), as one array."""
     geom = instance.geometry
-    if not _interior(geom, x):
-        raise FlowDomainError(
-            f"iterate left the domain interior at t = {t:.6g}", last_state)
+    n = geom.dimension
+    x, w, lam = z[:n], z[n:2 * n], z[2 * n:]
     v = geom.grad_conj(w)
     _, grad = instance.h(x)
     mu = instance.mu
@@ -93,15 +85,7 @@ def _rhs(t, x, w, lam, instance, gamma0, last_state):
         dlam = (instance.A @ v - instance.b) / beta_of(t)
     else:
         dlam = np.zeros(0)
-    dx = v - x
-    dw = force / gamma_of(t, mu, gamma0)
-    return dx, dw, dlam
-
-
-def flow_rhs(state, instance, gamma0):
-    """Time derivative of (x, w, lam) at the given state."""
-    _check_smooth(instance)
-    return _rhs(state.t, state.x, state.w, state.lam, instance, gamma0, state)
+    return np.concatenate((v - x, force / gamma_of(t, mu, gamma0), dlam))
 
 
 def flow_lyapunov(state, instance, gamma0):
@@ -115,13 +99,15 @@ def flow_lyapunov(state, instance, gamma0):
                              gamma_of(state.t, instance.mu, gamma0), beta_of(state.t))
 
 
-def integrate(instance, t_end, dt, gamma0=None, x0=None, v0=None, lambda0=None):
+def integrate(instance, t_end, dt, gamma0=None):
     """Fixed-step classical Runge-Kutta trajectory of the flow.
 
-    Returns a list of (FlowState, Lyapunov value) pairs, one per grid
-    point including t = 0.  Domain exit raises FlowDomainError carrying
-    the last valid state.  ``gamma0`` defaults to the solver's
-    (``SolverConfig.resolved``), so both start from the same gamma.
+    The flow starts where the solver does: the barycenter, w = grad phi(x)
+    and lam = 0.  Returns a list of (FlowState, Lyapunov value) pairs, one
+    per grid point including t = 0; a state's fields are views into its
+    point's stacked (x, w, lam).  Domain exit raises FlowDomainError
+    carrying the last valid grid state.  ``gamma0`` defaults to the
+    solver's (``SolverConfig.resolved``), so both start from the same gamma.
     """
     _check_smooth(instance)
     if instance.known_saddle is None:
@@ -131,40 +117,32 @@ def integrate(instance, t_end, dt, gamma0=None, x0=None, v0=None, lambda0=None):
     geom = instance.geometry
     if gamma0 is None:
         gamma0 = SolverConfig().resolved(instance).gamma0
-
-    x = geom.barycenter() if x0 is None else np.asarray(x0, dtype=float).copy()
-    v = x.copy() if v0 is None else np.asarray(v0, dtype=float).copy()
-    w = geom.grad(v)
-    lam = (np.zeros(instance.dual_dimension) if lambda0 is None
-           else np.asarray(lambda0, dtype=float).copy())
-
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError("t_end must cover at least one step")
 
-    state = FlowState(x=x, w=w, lam=lam, t=0.0)
+    n = geom.dimension
+    x = geom.barycenter()
+    z = np.concatenate((x, geom.grad(x), np.zeros(instance.dual_dimension)))
+    state = FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=0.0)
     trajectory = [(state, flow_lyapunov(state, instance, gamma0))]
     for step in range(n_steps):
         t = step * dt
-        k1 = _rhs(t, x, w, lam, instance, gamma0, state)
-        k2 = _rhs(t + 0.5 * dt, x + 0.5 * dt * k1[0], w + 0.5 * dt * k1[1],
-                  lam + 0.5 * dt * k1[2], instance, gamma0, state)
-        k3 = _rhs(t + 0.5 * dt, x + 0.5 * dt * k2[0], w + 0.5 * dt * k2[1],
-                  lam + 0.5 * dt * k2[2], instance, gamma0, state)
-        k4 = _rhs(t + dt, x + dt * k3[0], w + dt * k3[1], lam + dt * k3[2],
-                  instance, gamma0, state)
-        x = x + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        w = w + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        lam = lam + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        k = [_rhs(t, z, instance, gamma0)]
+        for c in (0.5 * dt, 0.5 * dt, dt):
+            point = z + c * k[-1]
+            if not _interior(geom, point[:n]):
+                raise FlowDomainError(
+                    f"iterate left the domain interior at t = {t + c:.6g}", state)
+            k.append(_rhs(t + c, point, instance, gamma0))
+        z = z + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
         t_new = (step + 1) * dt
-        if not _interior(geom, x):
+        if not _interior(geom, z[:n]):
             raise FlowDomainError(
                 f"iterate left the domain interior at t = {t_new:.6g}", state)
-        # contains(x) has checked x for non-finite entries
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(lam))):
-            raise FlowDomainError(
-                f"non-finite state at t = {t_new:.6g}", state)
-        state = FlowState(x=x, w=w, lam=lam, t=t_new)  # each step builds new arrays
+        if not np.isfinite(z).all():
+            raise FlowDomainError(f"non-finite state at t = {t_new:.6g}", state)
+        state = FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=t_new)
         trajectory.append((state, flow_lyapunov(state, instance, gamma0)))
     return trajectory
 

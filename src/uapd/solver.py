@@ -260,10 +260,10 @@ def _average(p, q, alpha):
 def initial_state(instance, config):
     """Barycenter start with a zero dual vector."""
     lifted = instance.lift(instance.geometry.barycenter())
-    x0 = _parts(instance, lifted)[0]
+    x_start = _parts(instance, lifted)[0]
     return SolverState(
-        x=x0,
-        v=x0,
+        x=x_start,
+        v=x_start,
         x_lift=lifted,
         v_lift=lifted,
         lam=np.zeros(instance.dual_dimension),

@@ -7,8 +7,9 @@ prox by projected gradient or multiplier search, the squared-l1 prox by
 threshold bisection, the Lagrangian from its definition, and a
 line-by-line transcription of one inner solver step.  Two threshold
 routines scanning reversed sorted views are kept as bit-for-bit
-references for the contiguous ones in ``uapd.geometry``, and a
-row-by-row trace writer for the column-wise ``trace_to_csv``.
+references for the contiguous ones in ``uapd.geometry``, as are a
+row-by-row trace writer for the column-wise ``trace_to_csv`` and an
+RK4 loop on three arrays for the stacked-state ``flow.integrate``.
 """
 
 import csv
@@ -16,6 +17,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from uapd.flow import FlowDomainError, FlowState, beta_of, flow_lyapunov, gamma_of
+from uapd.solver import SolverConfig
 
 
 class ProxQuery(NamedTuple):
@@ -75,15 +79,15 @@ def prox_objective(geom, query, v):
 def euclidean_prox_pg(query, domain, blocks, iters=4000):
     """Projected gradient on the Euclidean composite prox objective.
 
-    The smooth part has gradient c + mu (v - y) + rho (v - v0) with
+    The smooth part has gradient c + mu (v - y) + rho (v - v_anchor) with
     Lipschitz constant mu + rho; a constant 1/L step converges.  The
     projection uses the bisection routine above.
     """
-    c, y, v0 = query.linear_term, query.anchor_y, query.anchor_v
+    c, y, v_anchor = query.linear_term, query.anchor_y, query.anchor_v
     s = query.mu + query.rho
-    v = v0.copy()
+    v = v_anchor.copy()
     for _ in range(iters):
-        grad = c + query.mu * (v - y) + query.rho * (v - v0)
+        grad = c + query.mu * (v - y) + query.rho * (v - v_anchor)
         z = v - grad / s
         if domain == "reals":
             new = z
@@ -104,12 +108,12 @@ def entropy_prox_bisect(query, blocks, iters=300):
     """Entropy composite prox by bisection on the block multiplier.
 
     Stationarity gives v_i proportional to exp(t_i) with
-    t = (mu ln y + rho ln v0 - c) / (mu + rho); instead of normalizing
+    t = (mu ln y + rho ln v_anchor - c) / (mu + rho); instead of normalizing
     directly, solve sum_i exp(t_i - nu) = 1 for nu per block.
     """
-    c, y, v0 = query.linear_term, query.anchor_y, query.anchor_v
+    c, y, v_anchor = query.linear_term, query.anchor_y, query.anchor_v
     s = query.mu + query.rho
-    t = (query.mu * np.log(y) + query.rho * np.log(v0) - c) / s
+    t = (query.mu * np.log(y) + query.rho * np.log(v_anchor) - c) / s
     out = np.empty_like(t)
     for sl in block_slices(blocks):
         tb = t[sl]
@@ -128,12 +132,12 @@ def entropy_prox_bisect(query, blocks, iters=300):
 def squared_l1_prox_bisect(query, iters=300):
     """Squared-l1 composite prox by bisection on the threshold.
 
-    With z = (mu y + rho v0 - c) / s and w = 1/s, the minimizer is the
+    With z = (mu y + rho v_anchor - c) / s and w = 1/s, the minimizer is the
     soft-thresholding of z at tau solving tau = w ||soft(z, tau)||_1.
     """
-    c, y, v0 = query.linear_term, query.anchor_y, query.anchor_v
+    c, y, v_anchor = query.linear_term, query.anchor_y, query.anchor_v
     s = query.mu + query.rho
-    z = (query.mu * y + query.rho * v0 - c) / s
+    z = (query.mu * y + query.rho * v_anchor - c) / s
     w = 1.0 / s
 
     def soft_l1(tau):
@@ -296,10 +300,10 @@ def lagrangian(instance, x, lam):
     return value
 
 
-def euler_flow(instance, gamma0, beta0, x0, w0, lam0, t_end, dt):
+def euler_flow(instance, gamma0, beta0, x_start, w_start, lam_start, t_end, dt):
     """Forward-Euler integration of the flow, assembled from scratch."""
     geom = instance.geometry
-    x, w, lam = x0.copy(), w0.copy(), lam0.copy()
+    x, w, lam = x_start.copy(), w_start.copy(), lam_start.copy()
     n = int(round(t_end / dt))
     for step in range(n):
         t = step * dt
@@ -319,6 +323,77 @@ def euler_flow(instance, gamma0, beta0, x0, w0, lam0, t_end, dt):
         w = w + dt * (force / gamma_t)
         lam = lam + dt * dlam
     return x, w, lam
+
+
+def _reference_interior(geometry, x):
+    if not geometry.contains(x):
+        return False
+    if geometry.kind == "entropy" and float(np.min(x)) <= 0.0:
+        return False
+    return True
+
+
+def _reference_rhs(t, x, w, lam, instance, gamma0, last_state):
+    geom = instance.geometry
+    if not _reference_interior(geom, x):
+        raise FlowDomainError(
+            f"iterate left the domain interior at t = {t:.6g}", last_state)
+    v = geom.grad_conj(w)
+    _, grad = instance.h(x)
+    mu = instance.mu
+    force = -grad
+    if mu > 0:
+        force = force + mu * (geom.grad(x) - w)
+    if instance.constrained:
+        force = force - instance.A.T @ lam
+        dlam = (instance.A @ v - instance.b) / beta_of(t)
+    else:
+        dlam = np.zeros(0)
+    dx = v - x
+    dw = force / gamma_of(t, mu, gamma0)
+    return dx, dw, dlam
+
+
+def reference_integrate(instance, t_end, dt, gamma0=None):
+    """RK4 on x, w and lam as three arrays: ``flow.integrate``'s bit-for-bit reference.
+
+    Each stage calls a right-hand side that checks its point, so every
+    grid point is checked twice; ``flow.integrate`` steps the stacked
+    (x, w, lam) and must return the same bits and Lyapunov values.
+    """
+    geom = instance.geometry
+    if gamma0 is None:
+        gamma0 = SolverConfig().resolved(instance).gamma0
+    x = geom.barycenter()
+    w = geom.grad(x.copy())
+    lam = np.zeros(instance.dual_dimension)
+    n_steps = int(round(t_end / dt))
+
+    state = FlowState(x=x, w=w, lam=lam, t=0.0)
+    trajectory = [(state, flow_lyapunov(state, instance, gamma0))]
+    for step in range(n_steps):
+        t = step * dt
+        k1 = _reference_rhs(t, x, w, lam, instance, gamma0, state)
+        k2 = _reference_rhs(t + 0.5 * dt, x + 0.5 * dt * k1[0], w + 0.5 * dt * k1[1],
+                            lam + 0.5 * dt * k1[2], instance, gamma0, state)
+        k3 = _reference_rhs(t + 0.5 * dt, x + 0.5 * dt * k2[0], w + 0.5 * dt * k2[1],
+                            lam + 0.5 * dt * k2[2], instance, gamma0, state)
+        k4 = _reference_rhs(t + dt, x + dt * k3[0], w + dt * k3[1], lam + dt * k3[2],
+                            instance, gamma0, state)
+        x = x + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        w = w + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        lam = lam + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        t_new = (step + 1) * dt
+        if not _reference_interior(geom, x):
+            raise FlowDomainError(
+                f"iterate left the domain interior at t = {t_new:.6g}", state)
+        # contains(x) has checked x for non-finite entries
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(lam))):
+            raise FlowDomainError(
+                f"non-finite state at t = {t_new:.6g}", state)
+        state = FlowState(x=x, w=w, lam=lam, t=t_new)  # each step builds new arrays
+        trajectory.append((state, flow_lyapunov(state, instance, gamma0)))
+    return trajectory
 
 
 def integrate_scalar_decay(theta, eta, R, sigma, varphi, t_end, dt):

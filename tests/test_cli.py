@@ -225,7 +225,7 @@ def test_missing_field_errors_name_the_field(tmp_path, capsys):
     assert "flow.dt" in capsys.readouterr().err
 
 
-def test_config_validation_exit_codes(tmp_path, capsys):
+def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
 
@@ -261,6 +261,23 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path / "badinst.json",
                        qp_config(instance={"kind": "mystery"}))
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+
+    # caught before any solve and before --out is created
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "never"
+    for name, overrides, named in (
+            ("misspelt", {"varient": "fixed_tolerance"}, "varient"),
+            ("subdir", {"output": "sub/run"}, "sub/run"),
+            ("number", {"output": 7}, "7"),
+            ("empty", {"output": ""}, "output"),
+            ("nul", {"output": "a\0b"}, "output")):
+        cfg = write_config(tmp_path / f"{name}.json", qp_config(**overrides))
+        assert main(["solve", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command, overrides", [

@@ -9,8 +9,8 @@ import pytest
 from uapd import flow, problems
 from uapd.geometry import EntropyGeometry
 from uapd.problems import ProblemInstance
-from uapd.solver import SolverConfig
-from helpers import euler_flow, lagrangian
+from uapd.solver import SolverConfig, initial_state
+from helpers import euler_flow, lagrangian, reference_integrate
 
 
 def entropy_quadratic(c=(0.5, 0.3, 0.2)):
@@ -38,9 +38,8 @@ def test_rhs_vanishes_at_saddle():
     for mu in (0.0, 0.7):
         qp = problems.make_synthetic_qp(9, 3, mu=mu, seed=3)
         x_star, lam_star = qp.known_saddle
-        state = flow.FlowState(x=x_star.copy(), w=qp.geometry.grad(x_star),
-                               lam=lam_star.copy(), t=0.0)
-        dx, dw, dlam = flow.flow_rhs(state, qp, gamma0=1.0)
+        z = np.concatenate((x_star, qp.geometry.grad(x_star), lam_star))
+        dx, dw, dlam = np.split(flow._rhs(0.0, z, qp, gamma0=1.0), [9, 18])
         assert np.max(np.abs(dx)) <= 1e-8
         assert np.max(np.abs(dw)) <= 1e-7
         assert np.max(np.abs(dlam)) <= 1e-8
@@ -48,22 +47,19 @@ def test_rhs_vanishes_at_saddle():
 
 def test_rhs_rejects_nonsmooth_instances():
     game = problems.make_matrix_game(3, 4, seed=0)
-    state = flow.FlowState(x=game.geometry.barycenter(),
-                           w=game.geometry.grad(game.geometry.barycenter()),
-                           lam=np.zeros(game.dual_dimension), t=0.0)
-    with pytest.raises(ValueError):
-        flow.flow_rhs(state, game, gamma0=1.0)
+    with pytest.raises(ValueError, match="differentiable"):
+        flow.integrate(game, t_end=1.0, dt=0.1, gamma0=1.0)
     bp = problems.make_basis_pursuit(4, 10, seed=0, sparsity=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="differentiable"):
         flow.integrate(bp, t_end=1.0, dt=0.1)
 
 
 def test_integrate_matches_independent_euler():
     qp = problems.make_synthetic_qp(8, 2, mu=0.7, seed=11)
     geom = qp.geometry
-    x0 = geom.barycenter()
+    start = geom.barycenter()
     trajectory = flow.integrate(qp, t_end=1.0, dt=1e-3, gamma0=1.0)
-    x_e, w_e, lam_e = euler_flow(qp, 1.0, 1.0, x0, geom.grad(x0),
+    x_e, w_e, lam_e = euler_flow(qp, 1.0, 1.0, start, geom.grad(start),
                                  np.zeros(qp.dual_dimension), 1.0, 1e-5)
     final = trajectory[-1][0]
     assert final.t == pytest.approx(1.0)
@@ -115,12 +111,6 @@ def test_gross_step_leaves_simplex_interior():
     with pytest.raises(flow.FlowDomainError) as err:
         flow.integrate(inst, t_end=20.0, dt=2.5)
     assert err.value.last_state.t == pytest.approx(0.0)
-
-
-def test_boundary_start_raises_domain_error():
-    inst = entropy_quadratic()
-    with pytest.raises(flow.FlowDomainError):
-        flow.integrate(inst, t_end=1.0, dt=0.1, x0=np.array([0.5, 0.5, 0.0]))
 
 
 def test_integrate_argument_validation():
@@ -176,16 +166,44 @@ def test_flow_evaluates_the_saddle_objective_once():
 
 
 def test_trajectory_grid_and_initial_conditions():
-    qp = problems.make_synthetic_qp(6, 2, mu=0.0, seed=4)
-    x0 = np.linspace(-1.0, 1.0, 6)
-    lam0 = np.array([0.5, -0.5])
-    trajectory = flow.integrate(qp, t_end=0.5, dt=0.05, x0=x0, v0=x0, lambda0=lam0)
-    assert len(trajectory) == 11
-    first = trajectory[0][0]
-    assert np.allclose(first.x, x0)
-    assert np.allclose(first.lam, lam0)
-    ts = [s.t for s, _ in trajectory]
-    assert np.allclose(ts, np.arange(11) * 0.05)
+    for inst in (problems.make_synthetic_qp(6, 2, mu=0.0, seed=4), entropy_quadratic()):
+        trajectory = flow.integrate(inst, t_end=0.5, dt=0.05)
+        assert len(trajectory) == 11
+        # the flow starts where the solver does: (x_0, grad phi(x_0), 0)
+        start = initial_state(inst, SolverConfig().resolved(inst))
+        first = trajectory[0][0]
+        assert np.array_equal(first.x, start.x)
+        assert np.array_equal(first.w, inst.geometry.grad(start.v))
+        assert np.array_equal(first.lam, start.lam)
+        ts = [s.t for s, _ in trajectory]
+        assert np.allclose(ts, np.arange(11) * 0.05)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: problems.make_synthetic_qp(8, 3, mu=0.6, seed=5),
+    lambda: problems.make_synthetic_qp(9, 3, mu=0.0, seed=3),
+    entropy_quadratic,
+], ids=["constrained_qp_mu_positive", "qp_mu_zero_odd_n", "entropy_simplex"])
+def test_integrate_equals_the_three_array_reference(make):
+    inst = make()
+    got = flow.integrate(inst, t_end=0.5, dt=1e-2)
+    want = reference_integrate(inst, t_end=0.5, dt=1e-2)
+    assert len(got) == len(want) == 51
+    for (state, value), (ref, ref_value) in zip(got, want):
+        assert state.t == ref.t
+        for field in ("x", "w", "lam"):
+            assert getattr(state, field).tobytes() == getattr(ref, field).tobytes()
+        assert value == ref_value
+
+
+def test_each_point_is_checked_once():
+    qp = problems.make_synthetic_qp(6, 2, mu=0.5, seed=4)
+    calls = []
+    contains = qp.geometry.contains
+    qp.geometry.contains = lambda x: calls.append(1) or contains(x)
+    flow.integrate(qp, t_end=0.2, dt=0.02)
+    # three stage points and one new grid point per step
+    assert len(calls) == 4 * 10
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -264,10 +264,10 @@ def test_threshold_proxes_reject_non_finite_input(bad):
     reals = EuclideanGeometry(4)
     for geom, nonsmooth in ((simplex, "zero"), (reals, "squared_l1_half")):
         for linear_term in (np.array([0.5, bad, -1.0, 2.0]), np.full(4, bad)):
-            x0 = geom.barycenter()
+            center = geom.barycenter()
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValueError, match="non-finite input"):
-                geom.composite_prox(linear_term, x0, 0.0, x0, 1.0, nonsmooth)
+                geom.composite_prox(linear_term, center, 0.0, center, 1.0, nonsmooth)
     # the routines themselves, with the NaN or +inf entry last or alone
     for z in (np.array([0.5, -1.0, 2.0, -bad]), np.array([-bad])):
         for threshold in (project_simplex, lambda z: prox_squared_l1(z, 1.0)):
@@ -283,19 +283,19 @@ def test_threshold_proxes_reject_non_finite_input(bad):
 
 
 def test_squared_l1_requires_full_space():
-    x0 = np.ones(3) / 3
+    center = np.ones(3) / 3
     for geom in (EuclideanGeometry(3, domain="nonneg"), EuclideanGeometry(3, domain="simplex")):
         assert geom.nonsmooth == ("zero",)
         with pytest.raises(ValueError, match="does not support the nonsmooth term"):
-            geom.composite_prox(np.zeros(3), x0, 0.0, x0, 1.0, "squared_l1_half")
+            geom.composite_prox(np.zeros(3), center, 0.0, center, 1.0, "squared_l1_half")
     assert EuclideanGeometry(3).nonsmooth == ("zero", "squared_l1_half")
 
 
 def test_entropy_rejects_nonzero_nonsmooth():
-    geom, x0 = EntropyGeometry(3), np.ones(3) / 3
+    geom, center = EntropyGeometry(3), np.ones(3) / 3
     assert geom.nonsmooth == ("zero",)
     with pytest.raises(ValueError, match="does not support the nonsmooth term"):
-        geom.composite_prox(np.zeros(3), x0, 0.0, x0, 1.0, "squared_l1_half")
+        geom.composite_prox(np.zeros(3), center, 0.0, center, 1.0, "squared_l1_half")
 
 
 @pytest.mark.parametrize("bad", [-0.1, float("nan")])

@@ -449,9 +449,9 @@ def test_instance_json_round_trip(maker, args):
     clone = instance_from_dict(doc)
     rng = np.random.default_rng(8)
     x = helpers.random_point(inst.geometry, rng)
-    v0, g0 = inst.h(x)
-    v1, g1 = clone.h(x)
-    assert v1 == pytest.approx(v0, rel=1e-12)
+    val0, g0 = inst.h(x)
+    val1, g1 = clone.h(x)
+    assert val1 == pytest.approx(val0, rel=1e-12)
     assert np.allclose(g0, g1, rtol=1e-12, atol=1e-12)
     assert clone.g_spec == inst.g_spec
     assert clone.mu == inst.mu
