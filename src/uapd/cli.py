@@ -12,14 +12,15 @@ instance, or a path to a JSON file holding either), an optional
 ``solver`` section with SolverConfig fields, a ``variant`` ("uapd" or
 "fixed_tolerance", which needs a top-level ``eps``), and an ``output``
 file prefix (a non-empty string with no path separator or NUL).
-``flow`` runs need a ``flow`` section with ``t_end`` and ``dt``;
+``flow`` runs need a ``flow`` section with ``t_end`` and ``dt`` that
+give a grid :func:`uapd.flow.integrate` accepts;
 ``bounds`` accepts a ``bounds`` section (nu, M_nu, fit_window).  Any
 other top-level key exits 2.
 
 ``main`` checks the top-level keys, resolves the output prefix, the
-instance, the SolverConfig and the ``--out`` directory once, and hands
-each ``cmd_*`` the config, the instance, the SolverConfig and a map
-from file suffix to path.
+instance, the SolverConfig (against the instance) and the ``--out``
+directory once, and hands each ``cmd_*`` the config, the instance, the
+resolved SolverConfig and a map from file suffix to path.
 Every CSV is written by the csv module in its default dialect (CRLF
 line ends, UTF-8, a header row, None as an empty cell, floats by repr)
 and every summary by one JSON writer.  With a fixed seed the CSVs are
@@ -41,7 +42,7 @@ from itertools import zip_longest
 
 from .analysis import (decay_spec_for_solver, envelope, fit_rate,
                        rate_bound_preconditions)
-from .flow import integrate, trajectory_to_csv
+from .flow import FlowGridError, integrate, trajectory_to_csv
 from .problems import load_instance
 from .solver import SolverConfig, SolverError, solve, trace_to_csv
 
@@ -107,7 +108,8 @@ def _resolve_instance(spec, base_dir):
         raise ConfigError(f"bad instance description: {exc}") from exc
 
 
-def _solver_config(cfg):
+def _solver_config(cfg, instance):
+    """The ``solver`` section as a SolverConfig resolved against ``instance``."""
     section = cfg.get("solver", {})
     if not isinstance(section, dict):
         raise ConfigError("'solver' must be a dict of SolverConfig fields")
@@ -120,7 +122,7 @@ def _solver_config(cfg):
         if not (value is None and default is None):
             _number(value, f"solver.{name}", integer=isinstance(default, int))
     try:
-        return SolverConfig(**section)
+        return SolverConfig(**section).resolved(instance)
     except ValueError as exc:
         raise ConfigError(f"bad solver section: {exc}") from exc
 
@@ -212,8 +214,11 @@ def cmd_flow(cfg, instance, config, out):
         if field not in section:
             raise ConfigError(f"config is missing the field 'flow.{field}'")
         _number(section[field], f"flow.{field}")
-    trajectory = integrate(instance, t_end=float(section["t_end"]), dt=float(section["dt"]),
-                           gamma0=config.resolved(instance).gamma0)
+    try:
+        trajectory = integrate(instance, t_end=float(section["t_end"]), dt=float(section["dt"]),
+                               gamma0=config.gamma0)
+    except FlowGridError as exc:
+        raise ConfigError(f"bad flow section: {exc}") from exc
     trajectory_to_csv(trajectory, instance, out("flow.csv"))
     return 0
 
@@ -248,7 +253,7 @@ def cmd_bounds(cfg, instance, config, out):
             raise ConfigError(f"'bounds.fit_window' must have 1 <= k_lo <= k_hi, got {window!r}")
 
     _, trace = solve(instance, config)
-    gamma0, mu = config.resolved(instance).gamma0, instance.mu
+    gamma0, mu = config.gamma0, instance.mu
     gamma_min = min(gamma0, mu) if mu > 0 else gamma0
     spec = decay_spec_for_solver(nu, mu, gamma0, gamma_min, instance.a_norm, m_nu)
     ks, betas = trace.columns["k"], trace.columns["beta_k"]
@@ -256,6 +261,9 @@ def cmd_bounds(cfg, instance, config, out):
     raw = [envelope(spec, k) for k in ks]
     fits = [beta / env for k, beta, env in zip(ks, betas, raw) if k_lo <= k <= k_hi]
     if not fits:
+        if window is None:
+            raise ConfigError(f"the default fit_window [10, 100] needs at least 10 iterations, "
+                              f"the run made {ks[-1]}")
         raise ConfigError(f"fit_window [{k_lo}, {k_hi}] selects no iterations")
     scale = max(fits)
     _write_csv(out("bounds.csv"), ("k", "beta", "envelope"),
@@ -314,7 +322,7 @@ def main(argv=None):
                               f"separator or NUL, got {prefix!r}")
         base_dir = os.path.dirname(os.path.abspath(args.config))
         instance = _resolve_instance(_require(cfg, "instance"), base_dir)
-        config = _solver_config(cfg)
+        config = _solver_config(cfg, instance)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -15,20 +15,27 @@ Only smooth instances are accepted (a Hoelder certificate with nu = 1,
 so h is differentiable, and no nonsmooth term); the point of the
 module is to check the exponential decay of the Lyapunov function, not
 to solve anything new.
+
+A run's grid points are kept as columns, a :class:`Trajectory`: row i
+of one preallocated (points, 2n + m) float array holds the stacked
+(x, w, lam) of grid point i, and two float columns beside it hold t
+and the Lyapunov value, 8 (2n + m + 2) B per point.  The
+(FlowState, Lyapunov value) pair of a point is built when it is read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .solver import SolverConfig
 
-__all__ = ["FlowState", "FlowDomainError", "gamma_of", "beta_of", "flow_lyapunov",
-           "integrate", "trajectory_to_csv"]
+__all__ = ["FlowState", "FlowDomainError", "FlowGridError", "Trajectory", "gamma_of",
+           "beta_of", "flow_lyapunov", "integrate", "trajectory_to_csv"]
 
 
 @dataclass
@@ -45,6 +52,45 @@ class FlowDomainError(RuntimeError):
     def __init__(self, message, last_state):
         super().__init__(message)
         self.last_state = last_state
+
+
+class FlowGridError(ValueError):
+    """``t_end`` and ``dt`` give no grid that can be stepped and stored."""
+
+
+def _state(z, n, t):
+    """The FlowState of the stacked point ``z``; its fields are views into ``z``."""
+    return FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=t)
+
+
+class Trajectory(Sequence):
+    """The grid points of a flow run, stored as columns.
+
+    ``states`` is a (points, 2n + m) float array whose row i is the
+    stacked (x, w, lam) of grid point i; ``t`` and ``lyapunov`` are float
+    arrays of one value per point.  ``trajectory[i]`` (negative too)
+    builds the pair (FlowState, Lyapunov value) when it is read, with
+    Python float t and value and the state's fields views into row i; a
+    slice returns a list of pairs.
+    """
+
+    def __init__(self, points, n, m):
+        try:
+            self.states = np.empty((points, 2 * n + m))
+            self.t = np.empty(points)
+            self.lyapunov = np.empty(points)
+        except (ValueError, MemoryError) as exc:
+            raise FlowGridError(f"cannot preallocate a flow grid of {points} points") from exc
+        self._n = n
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return (_state(self.states[index], self._n, float(self.t[index])),
+                float(self.lyapunov[index]))
 
 
 def gamma_of(t, mu, gamma0):
@@ -99,61 +145,83 @@ def flow_lyapunov(state, instance, gamma0):
                              gamma_of(state.t, instance.mu, gamma0), beta_of(state.t))
 
 
+def _grid_steps(t_end, dt):
+    """The number of dt steps that cover [0, t_end]; FlowGridError when there is none."""
+    if not (dt > 0 and t_end > 0):
+        raise FlowGridError("dt and t_end must be positive")
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise FlowGridError(f"t_end / dt = {t_end!r} / {dt!r} is not a finite step count")
+    n_steps = round(ratio)
+    if n_steps < 1:
+        raise FlowGridError("t_end must cover at least one step")
+    return n_steps
+
+
 def integrate(instance, t_end, dt, gamma0=None):
     """Fixed-step classical Runge-Kutta trajectory of the flow.
 
     The flow starts where the solver does: the barycenter, w = grad phi(x)
-    and lam = 0.  Returns a list of (FlowState, Lyapunov value) pairs, one
-    per grid point including t = 0; a state's fields are views into its
-    point's stacked (x, w, lam).  Domain exit raises FlowDomainError
-    carrying the last valid grid state.  ``gamma0`` defaults to the
-    solver's (``SolverConfig.resolved``), so both start from the same gamma.
+    and lam = 0.  Returns a :class:`Trajectory` with one point per grid
+    time including t = 0, 8 (2n + m + 2) B per point: each new grid point
+    is written into its row of the preallocated state array, and
+    ``trajectory[i]`` builds its (FlowState, Lyapunov value) pair on read.
+    A bad grid (``dt`` or ``t_end`` not positive, no whole step, a step
+    count that is not finite or cannot be preallocated) raises
+    FlowGridError, a ValueError.  Domain exit raises FlowDomainError
+    carrying a copy of the last valid grid state.  ``gamma0`` defaults to
+    the solver's (``SolverConfig.resolved``), so both start from the same
+    gamma.
     """
     _check_smooth(instance)
     if instance.known_saddle is None:
         raise ValueError("flow integration needs instance.known_saddle")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    n_steps = _grid_steps(t_end, dt)
     geom = instance.geometry
     if gamma0 is None:
         gamma0 = SolverConfig().resolved(instance).gamma0
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise ValueError("t_end must cover at least one step")
 
     n = geom.dimension
+    trajectory = Trajectory(n_steps + 1, n, instance.dual_dimension)
+    rows, ts, values = trajectory.states, trajectory.t, trajectory.lyapunov
     x = geom.barycenter()
-    z = np.concatenate((x, geom.grad(x), np.zeros(instance.dual_dimension)))
-    state = FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=0.0)
-    trajectory = [(state, flow_lyapunov(state, instance, gamma0))]
+    z = rows[0]
+    z[:n], z[n:2 * n], z[2 * n:] = x, geom.grad(x), 0.0
+    ts[0] = 0.0
+    values[0] = flow_lyapunov(_state(z, n, 0.0), instance, gamma0)
     for step in range(n_steps):
         t = step * dt
         k = [_rhs(t, z, instance, gamma0)]
         for c in (0.5 * dt, 0.5 * dt, dt):
             point = z + c * k[-1]
             if not _interior(geom, point[:n]):
-                raise FlowDomainError(
-                    f"iterate left the domain interior at t = {t + c:.6g}", state)
+                raise FlowDomainError(f"iterate left the domain interior at t = {t + c:.6g}",
+                                      _state(z.copy(), n, t))
             k.append(_rhs(t + c, point, instance, gamma0))
-        z = z + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+        new = rows[step + 1]
+        np.add(z, (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), out=new)
         t_new = (step + 1) * dt
-        if not _interior(geom, z[:n]):
-            raise FlowDomainError(
-                f"iterate left the domain interior at t = {t_new:.6g}", state)
-        if not np.isfinite(z).all():
-            raise FlowDomainError(f"non-finite state at t = {t_new:.6g}", state)
-        state = FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=t_new)
-        trajectory.append((state, flow_lyapunov(state, instance, gamma0)))
+        if not _interior(geom, new[:n]):
+            raise FlowDomainError(f"iterate left the domain interior at t = {t_new:.6g}",
+                                  _state(z.copy(), n, t))
+        if not np.isfinite(new).all():
+            raise FlowDomainError(f"non-finite state at t = {t_new:.6g}", _state(z.copy(), n, t))
+        z = new
+        ts[step + 1] = t_new
+        values[step + 1] = flow_lyapunov(_state(z, n, t_new), instance, gamma0)
     return trajectory
 
 
 def trajectory_to_csv(trajectory, instance, path):
-    """Write (t, lyapunov, et_lyapunov, feasibility) rows for plotting.
+    """Write (t, lyapunov, et_lyapunov, feasibility) rows of a :class:`Trajectory` for plotting.
 
+    Reads its t and Lyapunov columns and the x block of its state rows.
     The csv module's default dialect, as :func:`uapd.solver.trace_to_csv`.
     """
+    xs = trajectory.states[:, :instance.geometry.dimension]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t", "lyapunov", "et_lyapunov", "feasibility"))
-        writer.writerows((state.t, lyap, math.exp(state.t) * lyap, instance.feasibility(state.x))
-                         for state, lyap in trajectory)
+        writer.writerows((t, lyap, math.exp(t) * lyap, instance.feasibility(x))
+                         for t, lyap, x in zip(trajectory.t.tolist(),
+                                               trajectory.lyapunov.tolist(), xs))

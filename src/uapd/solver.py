@@ -113,7 +113,14 @@ class SolverConfig:
                 raise ValueError(f"{name} must be None or nonnegative, got {value!r}")
 
     def resolved(self, instance):
-        """A copy with the default gamma0 filled in from ``instance.a_norm``."""
+        """A copy with the default gamma0 filled in from ``instance.a_norm``.
+
+        ValueError for a ``gap_target`` on an instance without
+        ``known_optimum``, which no run could meet.
+        """
+        if self.gap_target is not None and instance.known_optimum is None:
+            raise ValueError("gap_target needs an instance with a known_optimum, "
+                             "which this instance does not have")
         gamma0, a_norm = self.gamma0, instance.a_norm
         if gamma0 is None:
             gamma0 = min(1.0, a_norm ** 2) if a_norm > 0 else 1.0
@@ -395,9 +402,9 @@ def _targets_met(feasibility, f_residual, config):
         return False
     if config.feasibility_target is not None and feasibility > config.feasibility_target:
         return False
-    if config.gap_target is not None:
-        if f_residual is None or abs(f_residual) > config.gap_target:
-            return False
+    # resolved() has ensured that a gap_target comes with an f_residual
+    if config.gap_target is not None and abs(f_residual) > config.gap_target:
+        return False
     return True
 
 

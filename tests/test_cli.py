@@ -289,14 +289,25 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
     ("solve", {"variant": "fixed_tolerance", "eps": "tiny"}),
     ("solve", {"instance": {"kind": "basis_pursuit", "m": 3, "n": 8, "seed": 0,
                             "sparsity": 2, "mu": 0.7}}),
+    ("flow", {"flow": {"t_end": 1.0, "dt": 0}}),
+    ("flow", {"flow": {"t_end": -1.0, "dt": 0.1}}),
+    ("flow", {"flow": {"t_end": 0.1, "dt": 1.0}}),
+    ("flow", {"flow": {"t_end": 1e300, "dt": 1e-300}}),
+    # 1e30 + 1 points lie past numpy's intp range: refused before any allocation
+    ("flow", {"flow": {"t_end": 1e30, "dt": 1.0}}),
+    ("solve", {"instance": {"kind": "steiner", "m": 6, "n": 3, "seed": 4},
+               "solver": {"gap_target": 1e-3}}),
 ], ids=["fit_window_short", "fit_window_string", "max_iterations_string",
-        "flow_dt_string", "flow_t_end_string", "eps_string", "recipe_field_not_read"])
+        "flow_dt_string", "flow_t_end_string", "eps_string", "recipe_field_not_read",
+        "flow_dt_zero", "flow_t_end_negative", "flow_no_whole_step", "flow_step_count_overflow",
+        "flow_grid_past_intp", "gap_target_without_optimum"])
 def test_malformed_sections_exit_2_with_one_error_line(tmp_path, capsys, command,
                                                        overrides):
     cfg = write_config(tmp_path / "run.json", qp_config(**overrides))
     assert main([command, cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("smoke_*"))
 
 
 def test_compare_writes_merged_csv(tmp_path):
@@ -396,6 +407,15 @@ def test_bounds_command_rejects_a_malformed_section_with_exit_2(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'bounds." in err and err.count("\n") == 1
     assert not (tmp_path / "bad_bounds.csv").exists()
+
+
+def test_bounds_default_window_needs_ten_iterations(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", qp_config(solver={"max_iterations": 5}))
+    assert main(["bounds", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the default fit_window [10, 100] needs at least 10 iterations, "
+                   "the run made 5\n")
+    assert not list(tmp_path.glob("smoke_*"))
 
 
 def test_bounds_command_reads_the_steiner_certificate(tmp_path):

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -111,6 +113,14 @@ def test_gross_step_leaves_simplex_interior():
     with pytest.raises(flow.FlowDomainError) as err:
         flow.integrate(inst, t_end=20.0, dt=2.5)
     assert err.value.last_state.t == pytest.approx(0.0)
+    with pytest.raises(flow.FlowDomainError) as err:
+        flow.integrate(inst, t_end=20.0, dt=1.5)
+    last, (reached, _) = err.value.last_state, flow.integrate(inst, t_end=1.5, dt=1.5)[-1]
+    assert isinstance(last, flow.FlowState) and last.t == reached.t == 1.5
+    for field in ("x", "w", "lam"):
+        assert getattr(last, field).tobytes() == getattr(reached, field).tobytes()
+    # the error keeps its own (x, w, lam), not the whole preallocated grid
+    assert last.x.base.shape == (2 * 3,)
 
 
 def test_integrate_argument_validation():
@@ -119,6 +129,13 @@ def test_integrate_argument_validation():
         flow.integrate(qp, t_end=0.0, dt=0.1)
     with pytest.raises(ValueError):
         flow.integrate(qp, t_end=1.0, dt=-0.1)
+    with pytest.raises(flow.FlowGridError, match="at least one step"):
+        flow.integrate(qp, t_end=0.1, dt=1.0)
+    with pytest.raises(flow.FlowGridError, match="not a finite step count"):
+        flow.integrate(qp, t_end=1e300, dt=1e-300)
+    # past numpy's intp range, so refused before anything is allocated
+    with pytest.raises(flow.FlowGridError, match=f"{round(1e30) + 1} points"):
+        flow.integrate(qp, t_end=1e30, dt=1.0)
     anon = ProblemInstance(
         h_oracle=lambda x: (float(np.dot(x, x)), 2.0 * x), g_spec="zero",
         geometry=problems.make_synthetic_qp(3, 1, mu=0.0, seed=0).geometry.__class__(3),
@@ -204,6 +221,38 @@ def test_each_point_is_checked_once():
     flow.integrate(qp, t_end=0.2, dt=0.02)
     # three stage points and one new grid point per step
     assert len(calls) == 4 * 10
+
+
+def test_trajectory_memory_per_point():
+    # a list of (FlowState, value) pairs held ~1000 B per point; the columns
+    # hold the stacked (x, w, lam), t and the value: 8 (2n + m + 2) B
+    qp = problems.make_synthetic_qp(20, 5, mu=0.5, seed=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trajectory = flow.integrate(qp, t_end=1.0, dt=1e-3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trajectory) == 1001
+    assert held <= 8 * (2 * 20 + 5 + 2) * len(trajectory) + 16384
+
+
+def test_trajectory_items_are_built_on_read():
+    qp = problems.make_synthetic_qp(6, 2, mu=0.5, seed=4)
+    trajectory = flow.integrate(qp, t_end=0.2, dt=0.02)
+    assert isinstance(trajectory, Sequence) and len(trajectory) == 11
+    pairs = list(trajectory)
+    assert trajectory[-1][1] == pairs[-1][1] == trajectory[10][1]
+    assert [value for _, value in trajectory[2:5]] == [value for _, value in pairs[2:5]]
+    for i, (state, value) in enumerate(pairs):
+        assert type(state.t) is float and type(value) is float
+        assert state.t == trajectory.t[i] and value == trajectory.lyapunov[i]
+        row = trajectory.states[i]
+        assert np.shares_memory(state.x, row) and np.shares_memory(state.lam, row)
+        assert np.array_equal(np.concatenate((state.x, state.w, state.lam)), row)
+    with pytest.raises(IndexError):
+        trajectory[11]
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -511,6 +511,18 @@ def test_config_resolution_defaults():
     assert SolverConfig(gamma0=0.125).resolved(qp).gamma0 == 0.125
 
 
+def test_gap_target_needs_a_known_optimum():
+    # no run could meet it, so solve refuses before its first iteration
+    bp = make_basis_pursuit(4, 10, seed=0, sparsity=2)
+    assert bp.known_optimum is None
+    config = SolverConfig(max_iterations=50, gap_target=1e-3)
+    with pytest.raises(ValueError, match="known_optimum"):
+        solve(bp, config)
+    with pytest.raises(ValueError, match="known_optimum"):
+        config.resolved(bp)
+    assert SolverConfig(gap_target=1e-3).resolved(make_matrix_game(3, 4, seed=18)).gap_target == 1e-3
+
+
 # ---------------------------------------------------------------------------
 # trace storage and export
 
