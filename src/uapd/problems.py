@@ -11,6 +11,7 @@ replay bit-exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,7 +82,11 @@ class ProblemInstance:
     when unconstrained) and also published as ``metadata["a_norm"]``.
     ``holder`` is h's Hoelder certificate ``(nu, M_nu)``, with
     ||grad h(x) - grad h(y)|| <= M_nu ||x - y||^nu in the Euclidean
-    norm, or None when the instance declares none.
+    norm, or None when the instance declares none.  The instance owns the
+    layout (x, K x, A x - b) that :meth:`lift` writes: the slices
+    ``x_block``, ``image_block`` and ``residual_block`` (empty without A)
+    read it back and, like ``constrained`` and ``dual_dimension``, are
+    attributes set once here.
     """
 
     h_oracle: object
@@ -99,6 +104,11 @@ class ProblemInstance:
     a_norm: float = field(init=False, default=0.0)
     objective_star: float | None = field(init=False, default=None)
     residual_star: np.ndarray | None = field(init=False, default=None)
+    constrained: bool = field(init=False, default=False)
+    dual_dimension: int = field(init=False, default=0)
+    x_block: slice = field(init=False, default=None)
+    image_block: slice = field(init=False, default=None)
+    residual_block: slice = field(init=False, default=None)
 
     def __post_init__(self):
         if not self.mu >= 0:
@@ -123,6 +133,11 @@ class ProblemInstance:
                 raise ValueError("constraint dimensions do not match the geometry")
             self.a_norm = operator_norm(self.A)
             self.metadata["a_norm"] = self.a_norm
+            self.constrained, self.dual_dimension = True, m
+        n, m = self.geometry.dimension, self.dual_dimension
+        end = -m if m else None  # K x is whatever lies between x and A x - b: no K product
+        self.x_block, self.image_block = slice(n), slice(n, end)
+        self.residual_block = slice(end, None) if m else slice(0)
         if self.known_saddle is not None:
             x_star, lam_star = (np.asarray(a, dtype=float) for a in self.known_saddle)
             want = ((self.geometry.dimension,), (self.dual_dimension,))
@@ -132,14 +147,6 @@ class ProblemInstance:
             self.known_saddle = (x_star, lam_star)
             self.objective_star = self.objective(x_star)
             self.residual_star = self.residual(x_star)
-
-    @property
-    def constrained(self):
-        return self.A is not None
-
-    @property
-    def dual_dimension(self):
-        return 0 if self.A is None else self.A.shape[0]
 
     def h(self, x, image=None):
         """(h(x), gradient); ``image`` is K x when known, else formed here."""
@@ -336,6 +343,8 @@ def _assemble_regularized_game(P, eps, seed):
     n, m = P.shape
     if m < 2:
         raise ValueError("the smoothed game needs at least two columns")
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
     sigma = eps / (2.0 * np.log(m))
     # z^T hess h z = Var_w(P^T z) / sigma <= (range of P^T z)^2 / (4 sigma)
     # (Popoviciu) <= max_j ||P[:, j]||^2 ||z||^2 / sigma
@@ -361,8 +370,6 @@ def _assemble_regularized_game(P, eps, seed):
 
 def make_regularized_matrix_game(m, n, seed, eps):
     """Entropy-smoothed column player problem of the matrix game."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n, m))
     return _assemble_regularized_game(P, eps, seed)
@@ -412,10 +419,23 @@ def make_steiner(m, n, seed):
 # h = 0, declared by the absent oracle.
 
 
+def _check_sparsity(sparsity, m):
+    if (isinstance(sparsity, bool) or not isinstance(sparsity, numbers.Integral)
+            or not 1 <= sparsity <= m):
+        raise ValueError(f"sparsity must be an integer in [1, m = {m}], got {sparsity!r}")
+
+
 def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
+    """``x_true`` and ``sparsity`` may each be None, as a document allows."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
+    if sparsity is not None:
+        _check_sparsity(sparsity, m)
+    if x_true is not None:
+        x_true = np.asarray(x_true, dtype=float)
+        if x_true.shape != (n,):
+            raise ValueError(f"x_true must have shape ({n},), got {x_true.shape}")
     return ProblemInstance(
         h_oracle=None,
         g_spec="squared_l1_half",
@@ -428,7 +448,7 @@ def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
             "m": m,
             "n": n,
             "seed": seed,
-            "x_true": None if x_true is None else np.asarray(x_true, dtype=float),
+            "x_true": x_true,
             "sparsity": sparsity,
         },
     )
@@ -438,8 +458,7 @@ def make_basis_pursuit(m, n, seed, sparsity):
     """Random underdetermined system with a sparse planted solution."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    if not 1 <= sparsity <= m:
-        raise ValueError("need 1 <= sparsity <= m")
+    _check_sparsity(sparsity, m)  # before the draw, which reads it
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     support = rng.choice(n, size=sparsity, replace=False)
@@ -618,6 +637,8 @@ def instance_from_dict(d):
             raise ValueError(f"instance document is missing the field '{name}'")
         if isinstance(d[name], list):
             doc[name] = np.asarray(d[name], dtype=float)
+            if not np.isfinite(doc[name]).all():
+                raise ValueError(f"{name} has non-finite entries")
     instance = row.load(doc)
     written = _common_fields(instance)
     if "geometry" in d:  # a geometry may give some of its keys only, such as its kind

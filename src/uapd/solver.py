@@ -15,7 +15,9 @@ instance; a caller chooses only what :class:`SolverConfig` holds.
 
 Every point is carried lifted, as (x, K x, A x - b) stacked by
 ``ProblemInstance.lift`` (K is the linear map inside h, if declared), so
-one convex combination forms y_k or x_{k+1} with its images.  Work per
+one convex combination forms y_k or x_{k+1} with its images.  The
+instance owns that layout: its ``*_block`` slices, ``constrained`` and
+``dual_dimension`` are attributes set when it was built.  Work per
 line-search trial: one lift of the prox output v_{k+1} (one K and, if
 constrained, one A product), h with its gradient at y_k and h alone at
 x_{k+1} (``instance.h_value``), both on carried K images, one unchecked
@@ -250,12 +252,6 @@ class Trace(Sequence):
                                       for col in self._ordered))
 
 
-def _parts(instance, lifted):
-    """Views (x, K x, A x - b) of ``lifted``; the last is None when unconstrained."""
-    n, end = instance.geometry.dimension, lifted.size - instance.dual_dimension
-    return lifted[:n], lifted[n:end], lifted[end:] if instance.constrained else None
-
-
 def _average(p, q, alpha):
     """(p + alpha q) / (1 + alpha), the same bits, with one temporary instead of three."""
     out = alpha * q
@@ -267,7 +263,7 @@ def _average(p, q, alpha):
 def initial_state(instance, config):
     """Barycenter start with a zero dual vector."""
     lifted = instance.lift(instance.geometry.barycenter())
-    x_start = _parts(instance, lifted)[0]
+    x_start = lifted[instance.x_block]
     return SolverState(
         x=x_start,
         v=x_start,
@@ -284,8 +280,8 @@ def initial_state(instance, config):
     )
 
 
-def inner_step(k, state, M_trial, instance, fixed_eps=None):
-    """Build the candidate step for one curvature trial.
+def inner_step(state, M_trial, instance, fixed_eps=None):
+    """Build the candidate step of iteration ``state.k`` for one curvature trial.
 
     ``fixed_eps`` switches the tolerance from
     beta_{k+1} / (k+1) to eps / (k+1).  Raises
@@ -296,23 +292,22 @@ def inner_step(k, state, M_trial, instance, fixed_eps=None):
     beta, gamma = state.beta, state.gamma
     alpha = math.sqrt(beta * gamma) / math.sqrt(beta * M_trial + instance.a_norm ** 2)
     beta_new = beta / (1.0 + alpha)
-    delta = (beta_new if fixed_eps is None else fixed_eps) / (k + 1)
+    delta = (beta_new if fixed_eps is None else fixed_eps) / (state.k + 1)
 
-    n, end = state.x.size, state.x_lift.size - instance.dual_dimension
     y_lift = _average(state.x_lift, state.v_lift, alpha)
-    y = y_lift[:n]
+    y = y_lift[instance.x_block]
     zero_h = instance.h_oracle is None  # h = 0: no oracle call and no linear term from h
-    h_y, grad_y = (0.0, None) if zero_h else instance.h(y, y_lift[n:end])
+    h_y, grad_y = (0.0, None) if zero_h else instance.h(y, y_lift[instance.image_block])
     if instance.constrained:
-        lam_tilde = state.lam + (alpha / beta) * state.v_lift[end:]
+        lam_tilde = state.lam + (alpha / beta) * state.v_lift[instance.residual_block]
         c = instance.A.T @ lam_tilde
         if not zero_h:
             c = grad_y + c
     else:
         lam_tilde = state.lam
-        c = np.zeros(n) if zero_h else grad_y
+        c = np.zeros(y.size) if zero_h else grad_y
     if not (math.isfinite(h_y) and np.isfinite(c).all()):
-        raise SolverError(f"non-finite h(y) or prox linear term at iteration {k} "
+        raise SolverError(f"non-finite h(y) or prox linear term at iteration {state.k} "
                           f"(M = {M_trial:g})")
 
     # unchecked: the anchors are prox outputs or their convex combinations, and
@@ -320,24 +315,24 @@ def inner_step(k, state, M_trial, instance, fixed_eps=None):
     v_lift = instance.lift(instance.geometry._prox(c, y, instance.mu, state.v, gamma / alpha,
                                                    instance.g_spec))
     x_lift = _average(state.x_lift, v_lift, alpha)
-    x_new = x_lift[:n]
+    x_new = x_lift[instance.x_block]
     d = x_new - y
     # the quadratic term stays when h = 0, so a non-finite prox output still raises
     model = 0.5 * M_trial * float(d @ d)
     if not zero_h:
         model = h_y + float(grad_y @ d) + model
-    h_x = 0.0 if zero_h else instance.h_value(x_new, x_lift[n:end])
+    h_x = 0.0 if zero_h else instance.h_value(x_new, x_lift[instance.image_block])
     if not math.isfinite(h_x - model):
-        raise SolverError(f"non-finite h(x) - model at iteration {k} (M = {M_trial:g})")
+        raise SolverError(f"non-finite h(x) - model at iteration {state.k} (M = {M_trial:g})")
 
     return InnerResult(
-        y=y, x=x_new, v=v_lift[:n], x_lift=x_lift, v_lift=v_lift, lam=lam_tilde,
+        y=y, x=x_new, v=v_lift[instance.x_block], x_lift=x_lift, v_lift=v_lift, lam=lam_tilde,
         M=M_trial, alpha=alpha, beta_new=beta_new, delta=delta, model=model, h_at_x=h_x,
     )
 
 
-def line_search(k, state, instance, fixed_eps=None):
-    """Double the curvature trial until the quadratic model holds.
+def line_search(state, instance, fixed_eps=None):
+    """Double the curvature trial of iteration ``state.k`` until the quadratic model holds.
 
     Returns ``(accepted, i_k)`` where i_k counts rejected doublings and
     ``accepted.M`` is the accepted constant.  The warm start is the
@@ -347,21 +342,20 @@ def line_search(k, state, instance, fixed_eps=None):
     trials = []
     for i in range(LINE_SEARCH_CAP + 1):
         M_trial = (2.0 ** i) * state.M
-        result = inner_step(k, state, M_trial, instance, fixed_eps=fixed_eps)
+        result = inner_step(state, M_trial, instance, fixed_eps=fixed_eps)
         if result.h_at_x - result.model <= result.delta / 2.0:
             return result, i
         trials.append((M_trial, result.h_at_x, result.model, result.delta))
     raise LineSearchError(
-        f"line search exceeded {LINE_SEARCH_CAP} doublings at iteration {k} "
+        f"line search exceeded {LINE_SEARCH_CAP} doublings at iteration {state.k} "
         f"(last M = {trials[-1][0]:g})", trials)
 
 
 def outer_update(state, accepted, i_k, instance):
     """Advance the state with a step accepted after ``i_k`` rejected trials."""
-    alpha = accepted.alpha
-    lam, residual = state.lam, _parts(instance, accepted.v_lift)[2]
-    if residual is not None:
-        lam = state.lam + (alpha / state.beta) * residual
+    alpha, lam = accepted.alpha, state.lam
+    if instance.constrained:
+        lam = lam + (alpha / state.beta) * accepted.v_lift[instance.residual_block]
     return SolverState(
         x=accepted.x,
         v=accepted.v,
@@ -387,7 +381,7 @@ def _record(trace, state, instance, i_k, wall, h_at_x):
     """
     obj = h_at_x + instance.g_value(state.x)
     f_res = None if instance.known_optimum is None else obj - instance.known_optimum
-    residual = _parts(instance, state.x_lift)[2]
+    residual = state.x_lift[instance.residual_block] if instance.constrained else None
     feasibility = 0.0 if residual is None else math.sqrt(float(residual @ residual))
     lyap = None
     if instance.known_saddle is not None:
@@ -427,9 +421,9 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     trace = Trace(f_residual=instance.known_optimum is not None,
                   lyapunov=instance.known_saddle is not None)
     _record(trace, state, instance, 0, 0.0,
-            instance.h_value(*_parts(instance, state.x_lift)[:2]))
+            instance.h_value(state.x, state.x_lift[instance.image_block]))
     for k in range(config.max_iterations):
-        accepted, i_k = line_search(k, state, instance, fixed_eps=fixed_eps)
+        accepted, i_k = line_search(state, instance, fixed_eps=fixed_eps)
         new_state = outer_update(state, accepted, i_k, instance)
         if observer is not None:
             observer(k, state, accepted, i_k, new_state)

@@ -10,14 +10,18 @@ routines scanning reversed sorted views are kept as bit-for-bit
 references for the contiguous ones in ``uapd.geometry``, as are a
 row-by-row trace writer for the column-wise ``trace_to_csv`` and an
 RK4 loop on three arrays for the stacked-state ``flow.integrate``.
+``bad_instance_documents`` lists stored fields that no document may
+hold, for the loader's and the CLI's tests alike.
 """
 
 import csv
+import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 
+from uapd import problems
 from uapd.flow import FlowDomainError, FlowState, beta_of, flow_lyapunov, gamma_of
 from uapd.solver import SolverConfig
 
@@ -406,3 +410,43 @@ def integrate_scalar_decay(theta, eta, R, sigma, varphi, t_end, dt):
         if y <= 0:
             raise RuntimeError("oracle integration underflowed; shrink dt")
     return y
+
+
+def bad_instance_documents():
+    """(case id, document, field) for documents whose ``field`` must make loading fail.
+
+    A bad scalar replaces the field; a non-finite value replaces the
+    first entry of a stored array.
+    """
+    docs = {doc["kind"]: doc for doc in map(problems.instance_to_dict, (
+        problems.make_matrix_game(3, 4, seed=1),
+        problems.make_regularized_matrix_game(4, 5, seed=1, eps=0.1),
+        problems.make_steiner(3, 2, seed=0),
+        problems.make_basis_pursuit(4, 6, seed=2, sparsity=2),
+        problems.make_synthetic_qp(6, 2, mu=0.5, seed=3)))}
+    nan, inf = float("nan"), float("inf")
+    cases = []
+    for kind, field, value in (("regularized_matrix_game", "eps", 0.0),
+                               ("regularized_matrix_game", "eps", -1.0),
+                               ("regularized_matrix_game", "eps", nan),
+                               ("regularized_matrix_game", "eps", "x"),
+                               ("basis_pursuit", "sparsity", 0),
+                               ("basis_pursuit", "sparsity", 99),
+                               ("basis_pursuit", "sparsity", "x"),
+                               ("basis_pursuit", "x_true", [1.0])):
+        cases.append((f"{field}={value!r}", {**docs[kind], field: value}, field))
+    for kind, field, value in (("matrix_game", "P", nan),
+                               ("regularized_matrix_game", "P", inf),
+                               ("steiner", "anchors", inf),
+                               ("synthetic_qp", "H", nan),
+                               ("synthetic_qp", "c", nan),
+                               ("basis_pursuit", "x_true", nan),
+                               ("synthetic_qp", "x_star", inf),
+                               ("synthetic_qp", "lam_star", -inf)):
+        doc = json.loads(json.dumps(docs[kind]))  # a deep copy
+        cell = doc[field]
+        while isinstance(cell[0], list):
+            cell = cell[0]
+        cell[0] = value
+        cases.append((f"{kind}-{field}={value!r}", doc, field))
+    return cases

@@ -13,6 +13,8 @@ from uapd.cli import main
 from uapd.flow import integrate
 from uapd.solver import SolverConfig, TRACE_COLUMNS, solve
 
+import helpers
+
 
 def write_config(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
@@ -175,6 +177,19 @@ def test_instance_document_missing_a_stored_field_exits_2(tmp_path, capsys):
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'b'" in err and err.count("\n") == 1
+
+
+BAD_DOCUMENTS = helpers.bad_instance_documents()
+
+
+@pytest.mark.parametrize("doc, field", [case[1:] for case in BAD_DOCUMENTS],
+                         ids=[case[0] for case in BAD_DOCUMENTS])
+def test_document_with_a_bad_stored_field_exits_2_naming_it(tmp_path, capsys, doc, field):
+    cfg = write_config(tmp_path / "run.json", {"instance": doc, "output": "bad"})
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad instance description: {field} ")
+    assert err.count("\n") == 1 and not list(tmp_path.glob("bad_*"))
 
 
 def test_matrix_game_document_with_a_geometry_string_exits_2(tmp_path, capsys):

@@ -333,6 +333,23 @@ def test_instance_rejects_non_finite_constraint_data(field, bad):
             instance_from_dict(doc)
 
 
+BAD_DOCUMENTS = helpers.bad_instance_documents()
+
+
+@pytest.mark.parametrize("doc, field", [case[1:] for case in BAD_DOCUMENTS],
+                         ids=[case[0] for case in BAD_DOCUMENTS])
+def test_documents_with_a_bad_stored_field_raise_naming_it(doc, field):
+    # the loader runs the builders' checks, as the generators do
+    with pytest.raises(ValueError, match=f"^{field} "):
+        instance_from_dict(doc)
+
+
+def test_basis_pursuit_documents_may_leave_x_true_and_sparsity_null():
+    doc = instance_to_dict(make_basis_pursuit(4, 6, seed=2, sparsity=2))
+    inst = instance_from_dict({**doc, "x_true": None, "sparsity": None})
+    assert inst.metadata["x_true"] is None and inst.metadata["sparsity"] is None
+
+
 def test_known_saddle_is_shape_checked_and_its_terms_formed_at_build():
     inst = make_synthetic_qp(6, 2, mu=0.5, seed=3)
     xs, ls = inst.known_saddle
@@ -348,8 +365,10 @@ def test_known_saddle_is_shape_checked_and_its_terms_formed_at_build():
 def test_basis_pursuit_argument_validation():
     with pytest.raises(ValueError):
         make_basis_pursuit(10, 10, seed=0, sparsity=2)
-    with pytest.raises(ValueError):
-        make_basis_pursuit(5, 10, seed=0, sparsity=6)
+    # sparsity is checked before the draw reads it
+    for sparsity in (6, 0, 11, 2.0, "x"):
+        with pytest.raises(ValueError, match="^sparsity "):
+            make_basis_pursuit(5, 10, seed=0, sparsity=sparsity)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import sys
 import tracemalloc
 from collections.abc import Sequence
 
@@ -19,6 +21,7 @@ from uapd.solver import (IterationRecord, LineSearchError, SolverConfig, SolverE
                          initial_state, inner_step, line_search, outer_update, solve,
                          trace_to_csv, TRACE_COLUMNS)
 
+import uapd
 from uapd import solver
 
 import helpers
@@ -235,7 +238,7 @@ def test_feasibility_is_the_norm_of_the_carried_residual():
     assert len(trace) == 201
     states = [recorder.steps[0][1]] + [step[4] for step in recorder.steps]
     for record, st in zip(trace, states):
-        residual = solver._parts(instance, st.x_lift)[2]
+        residual = st.x_lift[instance.residual_block]
         assert record.feasibility == float(np.linalg.norm(residual))
 
 
@@ -409,6 +412,48 @@ def test_one_k_product_per_trial_and_two_a_products_per_iteration(instance):
         assert a_products[0] == 1 + 2 * trials
     if instance.metadata["kind"] == "basis_pursuit":
         assert state.line_search_total == 0 and a_products[0] == 1 + 2 * trace[-1].k
+
+
+def calls_into_uapd(instance, iterations):
+    """(calls, k, T) of one solve: Python calls into uapd's own code, iterations, trials.
+
+    Only frames whose code lives in the uapd package count, so numpy's
+    Python wrappers do not.
+    """
+    root = os.path.dirname(uapd.__file__) + os.sep
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls[0] += 1
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        state, trace = solve(instance, SolverConfig(max_iterations=iterations))
+    finally:
+        sys.setprofile(previous)
+    return calls[0], trace[-1].k, trace[-1].k + state.line_search_total
+
+
+# Per iteration, both: line_search, outer_update, _record, g_value,
+# Trace.append, _targets_met and one _drop per absent trace column (the
+# game has an f_residual).  Per trial, both: inner_step, two _average and
+# lift; the game adds h with its oracle, h_value with its value oracle, K
+# and the entropy prox with _floored_log and _softmax; basis pursuit adds
+# the Euclidean prox with _prox_squared_l1.  Basis pursuit never rejects
+# a trial (h = 0), so k = T there and only the sum of its two constants
+# is pinned.
+@pytest.mark.parametrize("make, per_iteration, per_trial", [
+    (lambda: make_matrix_game(5, 8, seed=5), 7, 12),
+    (lambda: make_basis_pursuit(5, 12, seed=2, sparsity=2), 8, 6),
+], ids=["matrix_game", "basis_pursuit"])
+def test_python_calls_are_fixed_per_iteration_and_per_trial(make, per_iteration, per_trial):
+    # calls == a k + b T + c, with c the calls of a solve of no iteration
+    setup = calls_into_uapd(make(), 0)[0]
+    for iterations in (10, 40):
+        calls, k, trials = calls_into_uapd(make(), iterations)
+        assert k == iterations
+        assert calls == per_iteration * k + per_trial * trials + setup
 
 
 def softmax_prox(geometry, c, y, mu, v, rho):
