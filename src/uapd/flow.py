@@ -19,15 +19,13 @@ to solve anything new.
 A run's grid points are kept as columns, a :class:`Trajectory`: row i
 of one preallocated (points, 2n + m) float array holds the stacked
 (x, w, lam) of grid point i, and two float columns beside it hold t
-and the Lyapunov value, 8 (2n + m + 2) B per point.  The
-(FlowState, Lyapunov value) pair of a point is built when it is read.
+and the Lyapunov value, 8 (2n + m + 2) B per point.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +61,12 @@ def _state(z, n, t):
     return FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=t)
 
 
-class Trajectory(Sequence):
+class Trajectory:
     """The grid points of a flow run, stored as columns.
 
     ``states`` is a (points, 2n + m) float array whose row i is the
     stacked (x, w, lam) of grid point i; ``t`` and ``lyapunov`` are float
-    arrays of one value per point.  ``trajectory[i]`` (negative too)
-    builds the pair (FlowState, Lyapunov value) when it is read, with
-    Python float t and value and the state's fields views into row i; a
-    slice returns a list of pairs.
+    arrays of one value per point, and ``len`` counts the points.
     """
 
     def __init__(self, points, n, m):
@@ -81,16 +76,9 @@ class Trajectory(Sequence):
             self.lyapunov = np.empty(points)
         except (ValueError, MemoryError) as exc:
             raise FlowGridError(f"cannot preallocate a flow grid of {points} points") from exc
-        self._n = n
 
     def __len__(self):
         return len(self.t)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return (_state(self.states[index], self._n, float(self.t[index])),
-                float(self.lyapunov[index]))
 
 
 def gamma_of(t, mu, gamma0):
@@ -164,8 +152,7 @@ def integrate(instance, t_end, dt, gamma0=None):
     The flow starts where the solver does: the barycenter, w = grad phi(x)
     and lam = 0.  Returns a :class:`Trajectory` with one point per grid
     time including t = 0, 8 (2n + m + 2) B per point: each new grid point
-    is written into its row of the preallocated state array, and
-    ``trajectory[i]`` builds its (FlowState, Lyapunov value) pair on read.
+    is written into its row of the preallocated state array.
     A bad grid (``dt`` or ``t_end`` not positive, no whole step, a step
     count that is not finite or cannot be preallocated) raises
     FlowGridError, a ValueError.  Domain exit raises FlowDomainError

@@ -229,11 +229,8 @@ class InstanceRecipe:
     eig_spread: float = 9.0
 
     def generate(self):
-        row = _kind(self.kind)
-        for name in row.required:
-            if getattr(self, name) is None:
-                raise ValueError(f"{self.kind} requires {name}")
-        return row.generate(self)
+        """The instance of this recipe; its generator rejects a field it reads and lacks."""
+        return _kind(self.kind).generate(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -246,7 +243,7 @@ class InstanceRecipe:
             raise ValueError(f"unknown recipe fields {sorted(unknown)}")
         row = _kind(d["kind"])
         unread = sorted(name for name, value in d.items()
-                        if name not in ("kind", "m", "n", "seed", *row.required, *row.optional)
+                        if name not in ("kind", "m", "n", "seed", *row.reads)
                         and value != fields[name].default)
         if unread:
             raise ValueError(f"recipe fields {unread} are not read by kind {d['kind']!r}")
@@ -551,38 +548,39 @@ def make_synthetic_qp(n, m, mu, seed, a_norm=None, eig_spread=9.0):
 
 class _Kind(NamedTuple):
     generate: object  # recipe -> instance
-    required: tuple  # recipe fields it reads that must not be None
-    optional: tuple  # the other recipe fields it reads, besides kind, m, n and seed
+    reads: tuple  # recipe fields it reads, besides kind, m, n and seed
     load: object  # document, stored lists as arrays -> instance
-    stored: tuple  # document fields: constraint data, saddle point or metadata
+    stored: dict  # document field -> its array's dimension names (None: any), or None for a scalar
 
 
 _KINDS = {
     "matrix_game": _Kind(
-        lambda r: make_matrix_game(r.m, r.n, r.seed, geometry=r.geometry), (), ("geometry",),
+        lambda r: make_matrix_game(r.m, r.n, r.seed, geometry=r.geometry), ("geometry",),
         lambda d: _assemble_matrix_game(d["P"], d.get("seed"),
                                         d.get("geometry", {}).get("kind", "entropy")),
-        ("P",)),
+        {"P": ("n", "m")}),
     "regularized_matrix_game": _Kind(
-        lambda r: make_regularized_matrix_game(r.m, r.n, r.seed, r.eps), ("eps",), (),
+        lambda r: make_regularized_matrix_game(r.m, r.n, r.seed, r.eps), ("eps",),
         lambda d: _assemble_regularized_game(d["P"], d["eps"], d.get("seed")),
-        ("P", "eps")),
+        {"P": ("n", "m"), "eps": None}),
     "steiner": _Kind(
-        lambda r: make_steiner(r.m, r.n, r.seed), (), (),
+        lambda r: make_steiner(r.m, r.n, r.seed), (),
         lambda d: _assemble_steiner(d["anchors"], d.get("seed")),
-        ("anchors",)),
+        {"anchors": ("m", "n")}),
     "basis_pursuit": _Kind(
-        lambda r: make_basis_pursuit(r.m, r.n, r.seed, r.sparsity), ("sparsity",), (),
+        lambda r: make_basis_pursuit(r.m, r.n, r.seed, r.sparsity), ("sparsity",),
         lambda d: _assemble_basis_pursuit(d["A"], d["b"], d["x_true"], d.get("seed"),
                                           d["sparsity"]),
-        ("A", "b", "x_true", "sparsity")),
+        {"A": ("m", "n"), "b": ("m",), "x_true": ("n",), "sparsity": None}),
     "synthetic_qp": _Kind(
         lambda r: make_synthetic_qp(r.n, r.m, r.mu, r.seed, a_norm=r.a_norm,
-                                    eig_spread=r.eig_spread), (), ("mu", "a_norm", "eig_spread"),
+                                    eig_spread=r.eig_spread), ("mu", "a_norm", "eig_spread"),
         lambda d: _assemble_synthetic_qp(d["H"], d["c"], d["A"], d["b"],
                                          (d["x_star"], d["lam_star"]),
                                          d.get("mu", 0.0), d.get("seed")),
-        ("H", "c", "A", "b", "x_star", "lam_star")),
+        # ProblemInstance checks the saddle point's lengths, as known_saddle
+        {"H": ("n", "n"), "c": ("n",), "A": ("m", "n"), "b": ("m",), "x_star": (None,),
+         "lam_star": (None,)}),
 }
 
 
@@ -615,6 +613,35 @@ def instance_to_dict(instance):
     return d
 
 
+# Stored arrays a document may leave null: a basis pursuit without a planted solution.
+_NULLABLE = ("x_true",)
+
+
+def _stored_array(name, value, dims, sizes):
+    """The stored field ``value`` as a finite float array whose shape ``dims`` names.
+
+    ``sizes`` holds the length each dimension name took in the fields
+    read before, and learns the new ones; a dimension named None may
+    have any length.  ValueError naming the field for a value that is
+    not a ``len(dims)``-D array of numbers, a length that disagrees with
+    ``sizes``, or a non-finite entry.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or array.ndim != len(dims):
+        raise ValueError(f"{name} must be a {len(dims)}-D array of numbers, got {value!r:.60}")
+    want = tuple(length if dim is None else sizes.setdefault(dim, length)
+                 for dim, length in zip(dims, array.shape))
+    if want != array.shape:
+        raise ValueError(f"{name} must have shape {want}, got {array.shape}")
+    array = array.astype(float, copy=False)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return array
+
+
 def instance_from_dict(d):
     """Instance from a document of :func:`instance_to_dict`, built from its stored data.
 
@@ -631,14 +658,12 @@ def instance_from_dict(d):
     if not isinstance(d.get("geometry", {}), dict):
         raise ValueError(f"document field 'geometry' must be a dict as instance_to_dict "
                          f"writes it, got {d['geometry']!r}")
-    doc = dict(d)
-    for name in row.stored:
+    doc, sizes = dict(d), {}
+    for name, dims in row.stored.items():
         if name not in d:
             raise ValueError(f"instance document is missing the field '{name}'")
-        if isinstance(d[name], list):
-            doc[name] = np.asarray(d[name], dtype=float)
-            if not np.isfinite(doc[name]).all():
-                raise ValueError(f"{name} has non-finite entries")
+        if dims is not None and not (d[name] is None and name in _NULLABLE):
+            doc[name] = _stored_array(name, d[name], dims, sizes)
     instance = row.load(doc)
     written = _common_fields(instance)
     if "geometry" in d:  # a geometry may give some of its keys only, such as its kind
@@ -657,6 +682,6 @@ def load_instance(spec):
     A spec is a document when it carries its kind's first stored field
     (``P``, ``anchors``, ``A`` or ``H``), and a recipe otherwise.
     """
-    if _kind(spec.get("kind")).stored[0] in spec:
+    if next(iter(_kind(spec.get("kind")).stored)) in spec:
         return instance_from_dict(spec)
     return InstanceRecipe.from_dict(spec).generate()

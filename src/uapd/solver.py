@@ -131,13 +131,13 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Iterate bundle after k iterations.
+    """Iterate bundle after k iterations: (x, v, lam, beta, gamma, M, k).
 
-    alpha and delta are the step size and tolerance accepted at the
-    previous iteration (zero at k = 0); line_search_total accumulates
-    the rejected-trial count Sum_j i_j.  x_lift and v_lift are
-    ``instance.lift`` of x and v, and x and v are views of their leading
-    blocks; none of these arrays is modified in place.
+    x_lift and v_lift are ``instance.lift`` of x and v, and x and v are
+    views of their leading blocks; none of these arrays is modified in
+    place.  line_search_total accumulates the rejected-trial count
+    Sum_j i_j.  The step size and tolerance of the step that led here
+    belong to its accepted trial, an :class:`InnerResult`.
     """
 
     x: np.ndarray
@@ -148,8 +148,6 @@ class SolverState:
     beta: float
     gamma: float
     M: float
-    alpha: float
-    delta: float
     k: int
     line_search_total: int
 
@@ -273,8 +271,6 @@ def initial_state(instance, config):
         beta=1.0,
         gamma=config.gamma0,
         M=config.M0,
-        alpha=0.0,
-        delta=0.0,
         k=0,
         line_search_total=0,
     )
@@ -365,18 +361,18 @@ def outer_update(state, accepted, i_k, instance):
         beta=accepted.beta_new,
         gamma=(state.gamma + instance.mu * alpha) / (1.0 + alpha),
         M=accepted.M,
-        alpha=alpha,
-        delta=accepted.delta,
         k=state.k + 1,
         line_search_total=state.line_search_total + i_k,
     )
 
 
-def _record(trace, state, instance, i_k, wall, h_at_x):
+def _record(trace, state, instance, i_k, wall, h_at_x, alpha, delta):
     """Append the trace row of ``state``; ``h_at_x`` is h(state.x).
 
-    The carried A x_k - b serves feasibility and, when the instance has a
-    known saddle point, the Lyapunov value.  Returns the row's
+    ``alpha`` and ``delta`` are the step size and tolerance of the trial
+    accepted into ``state``, 0.0 for the starting point.  The carried
+    A x_k - b serves feasibility and, when the instance has a known
+    saddle point, the Lyapunov value.  Returns the row's
     (feasibility, f_residual) for the stopping test.
     """
     obj = h_at_x + instance.g_value(state.x)
@@ -386,8 +382,8 @@ def _record(trace, state, instance, i_k, wall, h_at_x):
     lyap = None
     if instance.known_saddle is not None:
         lyap = instance.lyapunov(obj, residual, state.v, state.lam, state.gamma, state.beta)
-    trace.append(state.k, obj, f_res, feasibility, i_k, state.M, state.alpha, state.beta,
-                 state.gamma, state.delta, lyap, wall)
+    trace.append(state.k, obj, f_res, feasibility, i_k, state.M, alpha, state.beta,
+                 state.gamma, delta, lyap, wall)
     return feasibility, f_res
 
 
@@ -402,16 +398,19 @@ def _targets_met(feasibility, f_residual, config):
     return True
 
 
-def solve(instance, config=None, observer=None, fixed_eps=None):
+def solve(instance, config=None, fixed_eps=None):
     """Run the adaptive method for up to ``config.max_iterations`` steps.
 
     Returns ``(final_state, trace)`` where the :class:`Trace` holds one
-    row per iterate including the starting point.  ``observer``, when
-    given, is called as ``observer(k, state, accepted, i_k, new_state)``
-    after every accepted step and sees full-precision intermediates.
-    ``fixed_eps``, when given, must be positive: the tolerance is then
-    eps / (k + 1), the fixed-tolerance baseline, instead of the paper's
-    beta_{k+1} / (k + 1).
+    row per iterate including the starting point.  ``fixed_eps``, when
+    given, must be positive: the tolerance is then eps / (k + 1), the
+    fixed-tolerance baseline, instead of the paper's beta_{k+1} / (k + 1).
+
+    Each iteration calls the module globals ``line_search``,
+    ``outer_update`` and ``_record`` by name.  That is the seam for
+    instrumentation: a wrapper of ``outer_update(state, accepted, i_k,
+    instance)`` sees every accepted step at full precision and must
+    return the new state.
     """
     if fixed_eps is not None and not fixed_eps > 0:
         raise ValueError(f"eps must be positive, got {fixed_eps!r}")
@@ -421,15 +420,12 @@ def solve(instance, config=None, observer=None, fixed_eps=None):
     trace = Trace(f_residual=instance.known_optimum is not None,
                   lyapunov=instance.known_saddle is not None)
     _record(trace, state, instance, 0, 0.0,
-            instance.h_value(state.x, state.x_lift[instance.image_block]))
-    for k in range(config.max_iterations):
+            instance.h_value(state.x, state.x_lift[instance.image_block]), 0.0, 0.0)
+    for _ in range(config.max_iterations):
         accepted, i_k = line_search(state, instance, fixed_eps=fixed_eps)
-        new_state = outer_update(state, accepted, i_k, instance)
-        if observer is not None:
-            observer(k, state, accepted, i_k, new_state)
-        state = new_state
+        state = outer_update(state, accepted, i_k, instance)
         feasibility, f_res = _record(trace, state, instance, i_k, time.perf_counter() - t0,
-                                     accepted.h_at_x)
+                                     accepted.h_at_x, accepted.alpha, accepted.delta)
         if _targets_met(feasibility, f_res, config):
             break
     return state, trace

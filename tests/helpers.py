@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from uapd import problems
+from uapd import problems, solver
 from uapd.flow import FlowDomainError, FlowState, beta_of, flow_lyapunov, gamma_of
 from uapd.solver import SolverConfig
 
@@ -277,13 +277,30 @@ def reference_trace_to_csv(trace, path, columns):
 
 
 class StepRecorder:
-    """Observer capturing (k, state, accepted, i_k, new_state) tuples."""
+    """Records (k, state, accepted, i_k, new_state) for every accepted step of a solve.
+
+    A context manager: inside its ``with`` block ``solver.outer_update``,
+    which ``solve`` calls by its module name once per iteration, is
+    wrapped to record its arguments and result; the block's exit
+    restores it.
+    """
 
     def __init__(self):
         self.steps = []
 
-    def __call__(self, k, state, accepted, i_k, new_state):
-        self.steps.append((k, state, accepted, i_k, new_state))
+    def __enter__(self):
+        self._outer_update = update = solver.outer_update
+
+        def recorded(state, accepted, i_k, instance):
+            new_state = update(state, accepted, i_k, instance)
+            self.steps.append((state.k, state, accepted, i_k, new_state))
+            return new_state
+
+        solver.outer_update = recorded
+        return self
+
+    def __exit__(self, *exc):
+        solver.outer_update = self._outer_update
 
 
 def finite_difference_gradient(func, x, h=1e-6):
@@ -415,8 +432,9 @@ def integrate_scalar_decay(theta, eta, R, sigma, varphi, t_end, dt):
 def bad_instance_documents():
     """(case id, document, field) for documents whose ``field`` must make loading fail.
 
-    A bad scalar replaces the field; a non-finite value replaces the
-    first entry of a stored array.
+    A bad scalar, or an array of the wrong rank, type or length, replaces
+    the field; a non-finite value replaces the first entry of a stored
+    array.
     """
     docs = {doc["kind"]: doc for doc in map(problems.instance_to_dict, (
         problems.make_matrix_game(3, 4, seed=1),
@@ -435,6 +453,19 @@ def bad_instance_documents():
                                ("basis_pursuit", "sparsity", "x"),
                                ("basis_pursuit", "x_true", [1.0])):
         cases.append((f"{field}={value!r}", {**docs[kind], field: value}, field))
+    # the wrong rank, type or length (QP n = 6, basis pursuit m = 4)
+    for case, kind, field, value in (("P-1d", "matrix_game", "P", [1.0, 2.0]),
+                                     ("P-scalar", "matrix_game", "P", 3.0),
+                                     ("P-string", "matrix_game", "P", "x"),
+                                     ("P-ragged", "matrix_game", "P", [[1.0, 2.0], [3.0]]),
+                                     ("P-null", "regularized_matrix_game", "P", None),
+                                     ("anchors-1d", "steiner", "anchors", [1.0, 2.0]),
+                                     ("A-1d", "basis_pursuit", "A", [1.0] * 6),
+                                     ("b-length-1", "basis_pursuit", "b", [1.0]),
+                                     ("c-length-1", "synthetic_qp", "c", [1.0]),
+                                     ("H-5x6", "synthetic_qp", "H", [[1.0] * 6] * 5),
+                                     ("lam_star-2d", "synthetic_qp", "lam_star", [[0.0, 0.0]])):
+        cases.append((case, {**docs[kind], field: value}, field))
     for kind, field, value in (("matrix_game", "P", nan),
                                ("regularized_matrix_game", "P", inf),
                                ("steiner", "anchors", inf),

@@ -40,14 +40,12 @@ def benchmark_runs():
     }
     runs = {}
     for name, instance in specs.items():
-        slacks = []
-
-        def observer(k, state, accepted, i_k, new_state, out=slacks):
-            out.append(accepted.delta / 2.0 - (accepted.h_at_x - accepted.model))
-
         config = SolverConfig(max_iterations=1000)
         t0 = time.perf_counter()
-        _, trace = solve(instance, config, observer=observer)
+        with helpers.StepRecorder() as recorder:
+            _, trace = solve(instance, config)
+        slacks = [accepted.delta / 2.0 - (accepted.h_at_x - accepted.model)
+                  for _, _, accepted, _, _ in recorder.steps]
         runs[name] = {
             "instance": instance,
             "resolved": config.resolved(instance),
@@ -308,8 +306,8 @@ def test_criterion_09_flow_decay():
 
     def worst_ratio(dt):
         trajectory = flow.integrate(qp, t_end=5.0, dt=dt)
-        e0 = trajectory[0][1]
-        return max(math.exp(s.t) * ly for s, ly in trajectory) / e0
+        values = trajectory.lyapunov.tolist()
+        return max(math.exp(t) * ly for t, ly in zip(trajectory.t.tolist(), values)) / values[0]
 
     coarse = worst_ratio(1e-3)
     fine = worst_ratio(5e-4)

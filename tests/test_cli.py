@@ -461,6 +461,7 @@ def test_every_command_writes_one_csv_dialect(tmp_path):
     assert len(trace) != len(trace_eps)
     trajectory = integrate(instance, t_end=0.5, dt=0.05,
                            gamma0=config.resolved(instance).gamma0)
+    xs = trajectory.states[:, :instance.geometry.dimension]
 
     def f_value(record):
         return record.objective if record.f_residual is None else record.f_residual
@@ -473,8 +474,8 @@ def test_every_command_writes_one_csv_dialect(tmp_path):
         "solve": [[csv_cell(getattr(r, name)) for name in TRACE_COLUMNS if name != "wall_time_s"]
                   for r in trace],
         "compare": compare,
-        "flow": [[repr(state.t), repr(lyap), repr(math.exp(state.t) * lyap),
-                  repr(instance.feasibility(state.x))] for state, lyap in trajectory],
+        "flow": [[repr(t), repr(lyap), repr(math.exp(t) * lyap), repr(instance.feasibility(x))]
+                 for t, lyap, x in zip(trajectory.t.tolist(), trajectory.lyapunov.tolist(), xs)],
         "bounds": [[str(r.k), repr(r.beta_k)] for r in trace],
     }
     suffixes = {"solve": "trace.csv", "compare": "compare.csv", "flow": "flow.csv",

@@ -3,7 +3,6 @@
 import csv
 import math
 import tracemalloc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -27,6 +26,12 @@ def entropy_quadratic(c=(0.5, 0.3, 0.2)):
         h_oracle=oracle, g_spec="zero", geometry=EntropyGeometry(c.size),
         known_saddle=(c.copy(), np.zeros(0)), known_optimum=0.0,
         holder=(1.0, 1.0))
+
+
+def worst_scaled(trajectory):
+    """max_t e^t E(t) over the grid, read from the t and Lyapunov columns."""
+    return max(math.exp(t) * ly
+               for t, ly in zip(trajectory.t.tolist(), trajectory.lyapunov.tolist()))
 
 
 def test_schedule_closed_forms():
@@ -63,31 +68,28 @@ def test_integrate_matches_independent_euler():
     trajectory = flow.integrate(qp, t_end=1.0, dt=1e-3, gamma0=1.0)
     x_e, w_e, lam_e = euler_flow(qp, 1.0, 1.0, start, geom.grad(start),
                                  np.zeros(qp.dual_dimension), 1.0, 1e-5)
-    final = trajectory[-1][0]
-    assert final.t == pytest.approx(1.0)
-    assert np.max(np.abs(final.x - x_e)) <= 2e-4
-    assert np.max(np.abs(final.w - w_e)) <= 2e-4
-    assert np.max(np.abs(final.lam - lam_e)) <= 2e-4
+    n, final = geom.dimension, trajectory.states[-1]
+    assert trajectory.t[-1] == pytest.approx(1.0)
+    assert np.max(np.abs(final[:n] - x_e)) <= 2e-4
+    assert np.max(np.abs(final[n:2 * n] - w_e)) <= 2e-4
+    assert np.max(np.abs(final[2 * n:] - lam_e)) <= 2e-4
 
 
 def test_lyapunov_scaled_decay_quadratic():
     for mu in (0.0, 0.7):
         qp = problems.make_synthetic_qp(9, 3, mu=mu, seed=3)
         trajectory = flow.integrate(qp, t_end=4.0, dt=1e-3)
-        e0 = trajectory[0][1]
+        e0 = trajectory.lyapunov[0]
         assert e0 > 0
-        worst = max(math.exp(s.t) * ly for s, ly in trajectory)
-        assert worst <= e0 * (1.0 + 1e-6)
+        assert worst_scaled(trajectory) <= e0 * (1.0 + 1e-6)
         # the Lyapunov value itself heads to zero
-        assert trajectory[-1][1] <= 0.05 * e0
+        assert trajectory.lyapunov[-1] <= 0.05 * e0
 
 
 def test_lyapunov_scaled_decay_entropy():
     inst = entropy_quadratic()
     trajectory = flow.integrate(inst, t_end=4.0, dt=1e-3)
-    e0 = trajectory[0][1]
-    worst = max(math.exp(s.t) * ly for s, ly in trajectory)
-    assert worst <= e0 * (1.0 + 1e-6)
+    assert worst_scaled(trajectory) <= trajectory.lyapunov[0] * (1.0 + 1e-6)
 
 
 def test_refining_the_step_does_not_hurt_decay():
@@ -95,8 +97,7 @@ def test_refining_the_step_does_not_hurt_decay():
 
     def worst_ratio(dt):
         trajectory = flow.integrate(qp, t_end=2.0, dt=dt)
-        e0 = trajectory[0][1]
-        return max(math.exp(s.t) * ly for s, ly in trajectory) / e0
+        return worst_scaled(trajectory) / trajectory.lyapunov[0]
 
     coarse = worst_ratio(2e-3)
     fine = worst_ratio(1e-3)
@@ -115,10 +116,10 @@ def test_gross_step_leaves_simplex_interior():
     assert err.value.last_state.t == pytest.approx(0.0)
     with pytest.raises(flow.FlowDomainError) as err:
         flow.integrate(inst, t_end=20.0, dt=1.5)
-    last, (reached, _) = err.value.last_state, flow.integrate(inst, t_end=1.5, dt=1.5)[-1]
-    assert isinstance(last, flow.FlowState) and last.t == reached.t == 1.5
-    for field in ("x", "w", "lam"):
-        assert getattr(last, field).tobytes() == getattr(reached, field).tobytes()
+    last, reached = err.value.last_state, flow.integrate(inst, t_end=1.5, dt=1.5)
+    assert isinstance(last, flow.FlowState) and last.t == reached.t[-1] == 1.5
+    stacked = np.concatenate((last.x, last.w, last.lam))
+    assert stacked.tobytes() == reached.states[-1].tobytes()
     # the error keeps its own (x, w, lam), not the whole preallocated grid
     assert last.x.base.shape == (2 * 3,)
 
@@ -153,8 +154,8 @@ def test_default_gamma0_matches_the_solver_without_a_norm_metadata():
     assert gamma0 == pytest.approx(0.25, rel=1e-12)  # min(1, 0.5^2)
     default = flow.integrate(qp, t_end=0.05, dt=0.01)
     explicit = flow.integrate(qp, t_end=0.05, dt=0.01, gamma0=gamma0)
-    assert [e for _, e in default] == [e for _, e in explicit]
-    assert np.array_equal(default[-1][0].w, explicit[-1][0].w)
+    assert default.lyapunov.tolist() == explicit.lyapunov.tolist()
+    assert np.array_equal(default.states[-1], explicit.states[-1])
 
 
 def test_flow_lyapunov_is_the_lagrangian_formula():
@@ -162,7 +163,10 @@ def test_flow_lyapunov_is_the_lagrangian_formula():
     gamma0 = SolverConfig().resolved(qp).gamma0
     trajectory = flow.integrate(qp, t_end=0.2, dt=0.02)
     x_star, lam_star = qp.known_saddle
-    for state, value in trajectory:
+    n = qp.geometry.dimension
+    for z, t, value in zip(trajectory.states, trajectory.t.tolist(),
+                           trajectory.lyapunov.tolist()):
+        state = flow.FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=t)
         v = qp.geometry.grad_conj(state.w)
         dl = state.lam - lam_star
         want = (lagrangian(qp, state.x, lam_star) - lagrangian(qp, x_star, state.lam)
@@ -188,12 +192,11 @@ def test_trajectory_grid_and_initial_conditions():
         assert len(trajectory) == 11
         # the flow starts where the solver does: (x_0, grad phi(x_0), 0)
         start = initial_state(inst, SolverConfig().resolved(inst))
-        first = trajectory[0][0]
-        assert np.array_equal(first.x, start.x)
-        assert np.array_equal(first.w, inst.geometry.grad(start.v))
-        assert np.array_equal(first.lam, start.lam)
-        ts = [s.t for s, _ in trajectory]
-        assert np.allclose(ts, np.arange(11) * 0.05)
+        n, first = inst.geometry.dimension, trajectory.states[0]
+        assert np.array_equal(first[:n], start.x)
+        assert np.array_equal(first[n:2 * n], inst.geometry.grad(start.v))
+        assert np.array_equal(first[2 * n:], start.lam)
+        assert np.allclose(trajectory.t, np.arange(11) * 0.05)
 
 
 @pytest.mark.parametrize("make", [
@@ -206,10 +209,10 @@ def test_integrate_equals_the_three_array_reference(make):
     got = flow.integrate(inst, t_end=0.5, dt=1e-2)
     want = reference_integrate(inst, t_end=0.5, dt=1e-2)
     assert len(got) == len(want) == 51
-    for (state, value), (ref, ref_value) in zip(got, want):
-        assert state.t == ref.t
-        for field in ("x", "w", "lam"):
-            assert getattr(state, field).tobytes() == getattr(ref, field).tobytes()
+    for z, t, value, (ref, ref_value) in zip(got.states, got.t.tolist(),
+                                             got.lyapunov.tolist(), want):
+        assert t == ref.t
+        assert z.tobytes() == np.concatenate((ref.x, ref.w, ref.lam)).tobytes()
         assert value == ref_value
 
 
@@ -238,23 +241,6 @@ def test_trajectory_memory_per_point():
     assert held <= 8 * (2 * 20 + 5 + 2) * len(trajectory) + 16384
 
 
-def test_trajectory_items_are_built_on_read():
-    qp = problems.make_synthetic_qp(6, 2, mu=0.5, seed=4)
-    trajectory = flow.integrate(qp, t_end=0.2, dt=0.02)
-    assert isinstance(trajectory, Sequence) and len(trajectory) == 11
-    pairs = list(trajectory)
-    assert trajectory[-1][1] == pairs[-1][1] == trajectory[10][1]
-    assert [value for _, value in trajectory[2:5]] == [value for _, value in pairs[2:5]]
-    for i, (state, value) in enumerate(pairs):
-        assert type(state.t) is float and type(value) is float
-        assert state.t == trajectory.t[i] and value == trajectory.lyapunov[i]
-        row = trajectory.states[i]
-        assert np.shares_memory(state.x, row) and np.shares_memory(state.lam, row)
-        assert np.array_equal(np.concatenate((state.x, state.w, state.lam)), row)
-    with pytest.raises(IndexError):
-        trajectory[11]
-
-
 def test_trajectory_csv_round_trip(tmp_path):
     qp = problems.make_synthetic_qp(6, 2, mu=0.5, seed=4)
     trajectory = flow.integrate(qp, t_end=0.2, dt=0.02)
@@ -264,9 +250,10 @@ def test_trajectory_csv_round_trip(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "lyapunov", "et_lyapunov", "feasibility"]
     assert len(rows) == len(trajectory) + 1
-    for row, (state, lyap) in zip(rows[1:], trajectory):
+    xs = trajectory.states[:, :qp.geometry.dimension]
+    for row, t_point, lyap, x in zip(rows[1:], trajectory.t, trajectory.lyapunov, xs):
         t, value, scaled, feas = map(float, row)
-        assert t == pytest.approx(state.t)
+        assert t == pytest.approx(t_point)
         assert value == pytest.approx(lyap)
         assert scaled == pytest.approx(math.exp(t) * lyap)
-        assert feas == pytest.approx(qp.feasibility(state.x))
+        assert feas == pytest.approx(qp.feasibility(x))

@@ -39,8 +39,8 @@ def small_instances():
 
 def run(instance, iters, fixed_eps=None, **cfg):
     config = SolverConfig(max_iterations=iters, **cfg)
-    recorder = helpers.StepRecorder()
-    state, trace = solve(instance, config, observer=recorder, fixed_eps=fixed_eps)
+    with helpers.StepRecorder() as recorder:
+        state, trace = solve(instance, config, fixed_eps=fixed_eps)
     return state, trace, recorder, config.resolved(instance)
 
 
@@ -224,12 +224,24 @@ def test_zero_iteration_budget_gives_initial_record_only():
     assert state.k == 0
 
 
-def test_observer_sees_every_iteration_in_order():
+def test_outer_update_sees_every_iteration_in_order():
     instance = make_steiner(3, 2, seed=13)
     _, _, recorder, _ = run(instance, 17)
     assert [s[0] for s in recorder.steps] == list(range(17))
     for k, state, _, _, new_state in recorder.steps:
         assert state.k == k and new_state.k == k + 1
+
+
+@pytest.mark.parametrize("fixed_eps", [None, 1e-3])
+def test_trace_rows_carry_the_accepted_trial(fixed_eps):
+    for instance in small_instances():
+        _, trace, recorder, _ = run(instance, 15, fixed_eps=fixed_eps)
+        assert trace[0].alpha_k == 0.0 and trace[0].delta_k == 0.0
+        assert len(trace) == len(recorder.steps) + 1
+        for row, (k, _, accepted, _, _) in zip(trace[1:], recorder.steps):
+            assert row.k == k + 1
+            assert (row.alpha_k, row.delta_k, row.M_k) == (accepted.alpha, accepted.delta,
+                                                           accepted.M)
 
 
 def test_feasibility_is_the_norm_of_the_carried_residual():
