@@ -1,6 +1,6 @@
 """Analytic constants, decay envelopes and empirical rate fitting.
 
-Everything here is a pure function of scalars or of a recorded trace:
+Everything here is a pure function of scalars or of trace columns:
 the effective curvature constant that turns a Hoelder bound into a
 quadratic model, the a posteriori bounds on the accepted curvature and
 on the total line-search count, the closed-form envelopes of the
@@ -186,25 +186,21 @@ def rate_bound_preconditions(nu, mu, gamma0, A_norm, M_nu, M0):
     return issues
 
 
-def fit_rate(trace, column, k_min, k_max):
+def fit_rate(ks, values, k_min, k_max):
     """Least-squares slope of log(value) against log(k) over a window.
 
-    ``trace`` is a sequence of iteration records; ``column`` names one
-    of their float attributes.  The window must start at k >= 1 and its
-    values must be positive.
+    ``ks`` and ``values`` are two columns of one length, such as a
+    trace's ``columns["k"]`` and ``columns["beta_k"]``.  The window must
+    start at k >= 1 and its values must be positive.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be at least 1, got {k_min}")
-    ks, vals = [], []
-    for rec in trace:
-        if k_min <= rec.k <= k_max:
-            ks.append(rec.k)
-            vals.append(getattr(rec, column))
-    if len(ks) < 2:
+    ks, values = np.asarray(ks, dtype=float), np.asarray(values, dtype=float)
+    window = (k_min <= ks) & (ks <= k_max)
+    if np.count_nonzero(window) < 2:
         raise ValueError(f"window [{k_min}, {k_max}] selects fewer than two records")
-    vals = np.asarray(vals, dtype=float)
-    if np.any(vals <= 0):
-        raise ValueError(f"column {column!r} has nonpositive values in the window")
-    slope, _ = np.polyfit(np.log(np.asarray(ks, dtype=float)), np.log(vals), 1)
+    values = values[window]
+    if np.any(values <= 0):
+        raise ValueError("nonpositive values in the window")
+    slope, _ = np.polyfit(np.log(ks[window]), np.log(values), 1)
     return float(slope)
-

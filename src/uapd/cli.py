@@ -24,9 +24,10 @@ resolved SolverConfig and a map from file suffix to path.
 Every CSV is written by the csv module in its default dialect (CRLF
 line ends, UTF-8, a header row, None as an empty cell, floats by repr)
 and every summary by one JSON writer.  With a fixed seed the CSVs are
-reproducible byte for byte except for the wall-clock column.  A bad
-config, an unreadable config or instance file and an unusable
-``--out`` exit 2 with one ``error:`` line.
+reproducible byte for byte except for the wall-clock column, whose
+last value each summary reports as ``wall_time_s``.  A bad config, an
+unreadable config or instance file and an unusable ``--out`` exit 2
+with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import json
 import math
 import os
 import sys
-import time
 from itertools import zip_longest
 
 from .analysis import (decay_spec_for_solver, envelope, fit_rate,
@@ -148,13 +148,7 @@ def _variant(cfg):
     return None if name == "uapd" else _fixed_eps(eps)
 
 
-def _run(instance, config, eps):
-    t0 = time.perf_counter()
-    state, trace = solve(instance, config, fixed_eps=eps)
-    return state, trace, time.perf_counter() - t0
-
-
-def _summary(cfg, instance, state, trace, wall, eps):
+def _summary(cfg, instance, state, trace, eps):
     last = trace[-1]
     out = {
         "variant": cfg.get("variant", "uapd"),
@@ -166,7 +160,7 @@ def _summary(cfg, instance, state, trace, wall, eps):
         "final_beta": state.beta,
         "final_gamma": state.gamma,
         "line_search_total": state.line_search_total,
-        "wall_time_s": wall,
+        "wall_time_s": last.wall_time_s,
         "instance_kind": instance.metadata.get("kind"),
         "seed": instance.metadata.get("seed"),
     }
@@ -177,16 +171,16 @@ def _summary(cfg, instance, state, trace, wall, eps):
 
 def cmd_solve(cfg, instance, config, out):
     eps = _variant(cfg)
-    state, trace, wall = _run(instance, config, eps)
+    state, trace = solve(instance, config, fixed_eps=eps)
     trace_to_csv(trace, out("trace.csv"))
-    _write_json(out("summary.json"), _summary(cfg, instance, state, trace, wall, eps))
+    _write_json(out("summary.json"), _summary(cfg, instance, state, trace, eps))
     return 0
 
 
 def cmd_compare(cfg, instance, config, out):
     eps = _fixed_eps(cfg.get("eps", 1e-3))
-    state_u, trace_u, wall_u = _run(instance, config, None)
-    state_b, trace_b, wall_b = _run(instance, config, eps)
+    state_u, trace_u = solve(instance, config)
+    state_b, trace_b = solve(instance, config, fixed_eps=eps)
     cols_u, cols_b = trace_u.columns, trace_b.columns
     # rows align on k, blank where one run stopped earlier; f is the
     # objective residual when the optimum is known, the raw objective otherwise
@@ -198,9 +192,9 @@ def cmd_compare(cfg, instance, config, out):
                            cols_u["M_k"], cols_b["M_k"], cols_u["i_k"], cols_b["i_k"]))
     _write_json(out("compare_summary.json"), {
         "eps": eps,
-        "uapd": {"iterations": trace_u[-1].k, "wall_time_s": wall_u,
+        "uapd": {"iterations": trace_u[-1].k, "wall_time_s": trace_u[-1].wall_time_s,
                  "line_search_total": state_u.line_search_total},
-        "fixed_tolerance": {"iterations": trace_b[-1].k, "wall_time_s": wall_b,
+        "fixed_tolerance": {"iterations": trace_b[-1].k, "wall_time_s": trace_b[-1].wall_time_s,
                             "line_search_total": state_b.line_search_total},
     })
     return 0
@@ -280,7 +274,7 @@ def cmd_bounds(cfg, instance, config, out):
             nu, mu, gamma0, instance.a_norm, m_nu, config.M0),
     }
     try:
-        summary["beta_slope"] = fit_rate(trace, "beta_k", k_lo, max(k_hi, k_lo + 1))
+        summary["beta_slope"] = fit_rate(ks, betas, k_lo, max(k_hi, k_lo + 1))
     except ValueError:
         pass
     _write_json(out("bounds_summary.json"), summary)

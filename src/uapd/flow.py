@@ -19,46 +19,34 @@ to solve anything new.
 A run's grid points are kept as columns, a :class:`Trajectory`: row i
 of one preallocated (points, 2n + m) float array holds the stacked
 (x, w, lam) of grid point i, and two float columns beside it hold t
-and the Lyapunov value, 8 (2n + m + 2) B per point.
+and the Lyapunov value, 8 (2n + m + 2) B per point.  Anything that
+reads one grid point takes such a stacked row and its time.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .solver import SolverConfig
 
-__all__ = ["FlowState", "FlowDomainError", "FlowGridError", "Trajectory", "gamma_of",
+__all__ = ["FlowDomainError", "FlowGridError", "Trajectory", "gamma_of",
            "beta_of", "flow_lyapunov", "integrate", "trajectory_to_csv"]
 
 
-@dataclass
-class FlowState:
-    x: np.ndarray
-    w: np.ndarray
-    lam: np.ndarray
-    t: float
-
-
 class FlowDomainError(RuntimeError):
-    """Trajectory left the domain interior; carries the last valid state."""
+    """Trajectory left the domain interior; ``state`` and ``t`` are the last valid point."""
 
-    def __init__(self, message, last_state):
+    def __init__(self, message, state, t):
         super().__init__(message)
-        self.last_state = last_state
+        self.state = state
+        self.t = t
 
 
 class FlowGridError(ValueError):
     """``t_end`` and ``dt`` give no grid that can be stepped and stored."""
-
-
-def _state(z, n, t):
-    """The FlowState of the stacked point ``z``; its fields are views into ``z``."""
-    return FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=t)
 
 
 class Trajectory:
@@ -122,15 +110,17 @@ def _rhs(t, z, instance, gamma0):
     return np.concatenate((v - x, force / gamma_of(t, mu, gamma0), dlam))
 
 
-def flow_lyapunov(state, instance, gamma0):
+def flow_lyapunov(z, t, instance, gamma0):
     """``instance.lyapunov`` at (x, grad_conj(w), lam, gamma(t), beta(t)).
 
-    The solver's trace uses the same formula; ValueError without a known
-    saddle point.
+    ``z`` is a stacked (x, w, lam) point at time ``t``.  The solver's
+    trace uses the same formula; ValueError without a known saddle point.
     """
-    return instance.lyapunov(instance.objective(state.x), instance.residual(state.x),
-                             instance.geometry.grad_conj(state.w), state.lam,
-                             gamma_of(state.t, instance.mu, gamma0), beta_of(state.t))
+    n = instance.geometry.dimension
+    x, w, lam = z[:n], z[n:2 * n], z[2 * n:]
+    return instance.lyapunov(instance.objective(x), instance.residual(x),
+                             instance.geometry.grad_conj(w), lam,
+                             gamma_of(t, instance.mu, gamma0), beta_of(t))
 
 
 def _grid_steps(t_end, dt):
@@ -156,17 +146,16 @@ def integrate(instance, t_end, dt, gamma0=None):
     A bad grid (``dt`` or ``t_end`` not positive, no whole step, a step
     count that is not finite or cannot be preallocated) raises
     FlowGridError, a ValueError.  Domain exit raises FlowDomainError
-    carrying a copy of the last valid grid state.  ``gamma0`` defaults to
-    the solver's (``SolverConfig.resolved``), so both start from the same
-    gamma.
+    carrying a copy of the last valid grid point and its time.  ``gamma0``
+    is checked and defaulted by ``SolverConfig``, as in the solver, so
+    both start from the same gamma.
     """
     _check_smooth(instance)
     if instance.known_saddle is None:
         raise ValueError("flow integration needs instance.known_saddle")
     n_steps = _grid_steps(t_end, dt)
     geom = instance.geometry
-    if gamma0 is None:
-        gamma0 = SolverConfig().resolved(instance).gamma0
+    gamma0 = SolverConfig(gamma0=gamma0).resolved(instance).gamma0
 
     n = geom.dimension
     trajectory = Trajectory(n_steps + 1, n, instance.dual_dimension)
@@ -175,7 +164,7 @@ def integrate(instance, t_end, dt, gamma0=None):
     z = rows[0]
     z[:n], z[n:2 * n], z[2 * n:] = x, geom.grad(x), 0.0
     ts[0] = 0.0
-    values[0] = flow_lyapunov(_state(z, n, 0.0), instance, gamma0)
+    values[0] = flow_lyapunov(z, 0.0, instance, gamma0)
     for step in range(n_steps):
         t = step * dt
         k = [_rhs(t, z, instance, gamma0)]
@@ -183,19 +172,19 @@ def integrate(instance, t_end, dt, gamma0=None):
             point = z + c * k[-1]
             if not _interior(geom, point[:n]):
                 raise FlowDomainError(f"iterate left the domain interior at t = {t + c:.6g}",
-                                      _state(z.copy(), n, t))
+                                      z.copy(), t)
             k.append(_rhs(t + c, point, instance, gamma0))
         new = rows[step + 1]
         np.add(z, (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), out=new)
         t_new = (step + 1) * dt
         if not _interior(geom, new[:n]):
             raise FlowDomainError(f"iterate left the domain interior at t = {t_new:.6g}",
-                                  _state(z.copy(), n, t))
+                                  z.copy(), t)
         if not np.isfinite(new).all():
-            raise FlowDomainError(f"non-finite state at t = {t_new:.6g}", _state(z.copy(), n, t))
+            raise FlowDomainError(f"non-finite state at t = {t_new:.6g}", z.copy(), t)
         z = new
         ts[step + 1] = t_new
-        values[step + 1] = flow_lyapunov(_state(z, n, t_new), instance, gamma0)
+        values[step + 1] = flow_lyapunov(z, t_new, instance, gamma0)
     return trajectory
 
 

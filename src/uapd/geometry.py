@@ -28,7 +28,6 @@ __all__ = [
     "BregmanGeometry",
     "EuclideanGeometry",
     "EntropyGeometry",
-    "three_term_residual",
 ]
 
 # Entries are floored at this value before taking logarithms so that
@@ -323,14 +322,3 @@ class EntropyGeometry(BregmanGeometry):
 
     def to_dict(self):
         return {"kind": self.kind, "dimension": self.dimension, "blocks": list(self.blocks)}
-
-
-def three_term_residual(geom, x, y, z):
-    """Residual of the three-point identity, zero in exact arithmetic.
-
-    Returns <grad phi(x) - grad phi(y), y - z>
-            - [D(z, x) - D(z, y) - D(y, x)].
-    """
-    lhs = float((geom.grad(x) - geom.grad(y)) @ (np.asarray(y, dtype=float) - np.asarray(z, dtype=float)))
-    rhs = geom.divergence(z, x) - geom.divergence(z, y) - geom.divergence(y, x)
-    return lhs - rhs

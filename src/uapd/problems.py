@@ -283,7 +283,6 @@ def _matrix_game_oracle(P):
 
 
 def _assemble_matrix_game(P, seed, geometry_kind):
-    P = np.asarray(P, dtype=float)
     n, m = P.shape
     blocks = (n, m)
     if geometry_kind == "entropy":
@@ -336,7 +335,6 @@ def _regularized_game_oracle(P, sigma):
 
 
 def _assemble_regularized_game(P, eps, seed):
-    P = np.asarray(P, dtype=float)
     n, m = P.shape
     if m < 2:
         raise ValueError("the smoothed game needs at least two columns")
@@ -390,7 +388,6 @@ def _steiner_oracle(anchors):
 
 
 def _assemble_steiner(anchors, seed):
-    anchors = np.asarray(anchors, dtype=float)
     m, n = anchors.shape
     return ProblemInstance(
         h_oracle=_steiner_oracle(anchors),
@@ -424,15 +421,9 @@ def _check_sparsity(sparsity, m):
 
 def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
     """``x_true`` and ``sparsity`` may each be None, as a document allows."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     m, n = A.shape
     if sparsity is not None:
         _check_sparsity(sparsity, m)
-    if x_true is not None:
-        x_true = np.asarray(x_true, dtype=float)
-        if x_true.shape != (n,):
-            raise ValueError(f"x_true must have shape ({n},), got {x_true.shape}")
     return ProblemInstance(
         h_oracle=None,
         g_spec="squared_l1_half",
@@ -477,10 +468,6 @@ def _qp_oracle(c):
 
 
 def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
-    H = np.asarray(H, dtype=float)
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     n = H.shape[0]
     instance = ProblemInstance(
         h_oracle=_qp_oracle(c),
@@ -542,6 +529,7 @@ def make_synthetic_qp(n, m, mu, seed, a_norm=None, eig_spread=9.0):
 # One row per instance kind.  A JSON document stores kind/m/n/seed/mu/
 # geometry and the row's stored fields (matrices as row-major nested
 # lists); loading rebuilds the oracles from them, not from the seed.
+# _assemble_* takes the float arrays that make_* draws or _stored_array checks.
 # The lambdas look the builders up as module globals at call time, so
 # wrapping make_* from outside (as bench/tracer.py does) takes effect.
 

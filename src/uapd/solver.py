@@ -101,11 +101,12 @@ class SolverConfig:
     gap_target: float | None = None
 
     def __post_init__(self):
-        if not self.M0 > 0:
-            raise ValueError("M0 must be positive")
-        if self.gamma0 is not None and not self.gamma0 > 0:
-            raise ValueError("gamma0 must be positive")
-        if not isinstance(self.max_iterations, numbers.Integral):
+        if not 0 < self.M0 < math.inf:
+            raise ValueError(f"M0 must be positive and finite, got {self.M0!r}")
+        if self.gamma0 is not None and not 0 < self.gamma0 < math.inf:
+            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0!r}")
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
@@ -403,8 +404,8 @@ def solve(instance, config=None, fixed_eps=None):
 
     Returns ``(final_state, trace)`` where the :class:`Trace` holds one
     row per iterate including the starting point.  ``fixed_eps``, when
-    given, must be positive: the tolerance is then eps / (k + 1), the
-    fixed-tolerance baseline, instead of the paper's beta_{k+1} / (k + 1).
+    given, must be positive and finite: the tolerance is then eps / (k + 1),
+    the fixed-tolerance baseline, instead of the paper's beta_{k+1} / (k + 1).
 
     Each iteration calls the module globals ``line_search``,
     ``outer_update`` and ``_record`` by name.  That is the seam for
@@ -412,8 +413,8 @@ def solve(instance, config=None, fixed_eps=None):
     instance)`` sees every accepted step at full precision and must
     return the new state.
     """
-    if fixed_eps is not None and not fixed_eps > 0:
-        raise ValueError(f"eps must be positive, got {fixed_eps!r}")
+    if fixed_eps is not None and not 0 < fixed_eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {fixed_eps!r}")
     config = (config or SolverConfig()).resolved(instance)
     state = initial_state(instance, config)
     t0 = time.perf_counter()

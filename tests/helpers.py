@@ -10,6 +10,8 @@ routines scanning reversed sorted views are kept as bit-for-bit
 references for the contiguous ones in ``uapd.geometry``, as are a
 row-by-row trace writer for the column-wise ``trace_to_csv`` and an
 RK4 loop on three arrays for the stacked-state ``flow.integrate``.
+``three_term_residual`` checks a geometry's divergence against its
+mirror map through the three-point identity.
 ``bad_instance_documents`` lists stored fields that no document may
 hold, for the loader's and the CLI's tests alike.
 """
@@ -22,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from uapd import problems, solver
-from uapd.flow import FlowDomainError, FlowState, beta_of, flow_lyapunov, gamma_of
+from uapd.flow import FlowDomainError, beta_of, flow_lyapunov, gamma_of
 from uapd.solver import SolverConfig
 
 
@@ -203,6 +205,18 @@ def reference_prox_squared_l1(z, w):
     return np.sign(z) * np.maximum(u - tau, 0.0)
 
 
+def three_term_residual(geom, x, y, z):
+    """Residual of the three-point identity, zero in exact arithmetic.
+
+    Returns <grad phi(x) - grad phi(y), y - z>
+            - [D(z, x) - D(z, y) - D(y, x)].
+    """
+    lhs = float((geom.grad(x) - geom.grad(y)) @ (np.asarray(y, dtype=float)
+                                                 - np.asarray(z, dtype=float)))
+    rhs = geom.divergence(z, x) - geom.divergence(z, y) - geom.divergence(y, x)
+    return lhs - rhs
+
+
 def random_point(geom, rng):
     """A random strictly feasible point of the geometry's domain."""
     if geom.kind == "entropy" or getattr(geom, "domain", None) == "simplex":
@@ -354,11 +368,23 @@ def _reference_interior(geometry, x):
     return True
 
 
-def _reference_rhs(t, x, w, lam, instance, gamma0, last_state):
+class FlowPoint(NamedTuple):
+    """One grid point of ``reference_integrate``: x, w and lam as three arrays."""
+
+    x: np.ndarray
+    w: np.ndarray
+    lam: np.ndarray
+    t: float
+
+    def stacked(self):
+        return np.concatenate((self.x, self.w, self.lam))
+
+
+def _reference_rhs(t, x, w, lam, instance, gamma0, last):
     geom = instance.geometry
     if not _reference_interior(geom, x):
         raise FlowDomainError(
-            f"iterate left the domain interior at t = {t:.6g}", last_state)
+            f"iterate left the domain interior at t = {t:.6g}", last.stacked(), last.t)
     v = geom.grad_conj(w)
     _, grad = instance.h(x)
     mu = instance.mu
@@ -378,6 +404,8 @@ def _reference_rhs(t, x, w, lam, instance, gamma0, last_state):
 def reference_integrate(instance, t_end, dt, gamma0=None):
     """RK4 on x, w and lam as three arrays: ``flow.integrate``'s bit-for-bit reference.
 
+    Returns a list of (:class:`FlowPoint`, Lyapunov value) pairs.
+
     Each stage calls a right-hand side that checks its point, so every
     grid point is checked twice; ``flow.integrate`` steps the stacked
     (x, w, lam) and must return the same bits and Lyapunov values.
@@ -390,8 +418,8 @@ def reference_integrate(instance, t_end, dt, gamma0=None):
     lam = np.zeros(instance.dual_dimension)
     n_steps = int(round(t_end / dt))
 
-    state = FlowState(x=x, w=w, lam=lam, t=0.0)
-    trajectory = [(state, flow_lyapunov(state, instance, gamma0))]
+    state = FlowPoint(x=x, w=w, lam=lam, t=0.0)
+    trajectory = [(state, flow_lyapunov(state.stacked(), state.t, instance, gamma0))]
     for step in range(n_steps):
         t = step * dt
         k1 = _reference_rhs(t, x, w, lam, instance, gamma0, state)
@@ -407,13 +435,13 @@ def reference_integrate(instance, t_end, dt, gamma0=None):
         t_new = (step + 1) * dt
         if not _reference_interior(geom, x):
             raise FlowDomainError(
-                f"iterate left the domain interior at t = {t_new:.6g}", state)
+                f"iterate left the domain interior at t = {t_new:.6g}", state.stacked(), state.t)
         # contains(x) has checked x for non-finite entries
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(lam))):
             raise FlowDomainError(
-                f"non-finite state at t = {t_new:.6g}", state)
-        state = FlowState(x=x, w=w, lam=lam, t=t_new)  # each step builds new arrays
-        trajectory.append((state, flow_lyapunov(state, instance, gamma0)))
+                f"non-finite state at t = {t_new:.6g}", state.stacked(), state.t)
+        state = FlowPoint(x=x, w=w, lam=lam, t=t_new)  # each step builds new arrays
+        trajectory.append((state, flow_lyapunov(state.stacked(), state.t, instance, gamma0)))
     return trajectory
 
 

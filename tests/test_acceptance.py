@@ -15,7 +15,7 @@ import pytest
 import conftest
 import helpers
 from uapd import analysis, flow, problems, solver
-from uapd.geometry import EntropyGeometry, EuclideanGeometry, three_term_residual
+from uapd.geometry import EntropyGeometry, EuclideanGeometry
 from uapd.solver import SolverConfig, solve
 
 
@@ -122,7 +122,7 @@ def test_criterion_01_three_term_identity():
             x = helpers.random_point(geom, rng)
             y = helpers.random_point(geom, rng)
             z = helpers.random_point(geom, rng)
-            residual = abs(three_term_residual(geom, x, y, z))
+            residual = abs(helpers.three_term_residual(geom, x, y, z))
             scale = max(1.0, abs(geom.divergence(z, x)),
                         abs(geom.divergence(z, y)), abs(geom.divergence(y, x)))
             worst = max(worst, residual / scale)
@@ -222,7 +222,8 @@ def test_criterion_05_lyapunov_contraction(contraction_run):
 
 def test_criterion_06_rate_exponents(slope_run, domination_run):
     t0 = time.perf_counter()
-    slope = analysis.fit_rate(slope_run["trace"], "beta_k", 100, 10 ** 4)
+    columns = slope_run["trace"].columns
+    slope = analysis.fit_rate(columns["k"], columns["beta_k"], 100, 10 ** 4)
 
     run = domination_run
     resolved, instance = run["resolved"], run["instance"]

@@ -1,7 +1,6 @@
 """Tests for the analytic constants, envelopes and rate fitting."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,32 +233,33 @@ def test_rate_bound_preconditions():
 
 # ------------------------------------------------------------ rate fitting
 
-def synthetic_trace(fn, ks):
-    return [SimpleNamespace(k=k, beta_k=fn(k)) for k in ks]
+def synthetic_columns(fn, ks):
+    """The (k, value) columns of a trace whose values are ``fn(k)``."""
+    return list(ks), [fn(k) for k in ks]
 
 
 def test_fit_rate_recovers_power_laws():
     ks = range(1, 101)
-    assert analysis.fit_rate(synthetic_trace(lambda k: 1.0 / k, ks),
-                             "beta_k", 10, 100) == pytest.approx(-1.0, abs=1e-10)
-    assert analysis.fit_rate(synthetic_trace(lambda k: 3.0 / k ** 2, ks),
-                             "beta_k", 10, 100) == pytest.approx(-2.0, abs=1e-10)
-    assert analysis.fit_rate(synthetic_trace(lambda k: 0.5 * k ** -1.7, ks),
-                             "beta_k", 5, 90) == pytest.approx(-1.7, abs=1e-10)
+    assert analysis.fit_rate(*synthetic_columns(lambda k: 1.0 / k, ks),
+                             10, 100) == pytest.approx(-1.0, abs=1e-10)
+    assert analysis.fit_rate(*synthetic_columns(lambda k: 3.0 / k ** 2, ks),
+                             10, 100) == pytest.approx(-2.0, abs=1e-10)
+    assert analysis.fit_rate(*synthetic_columns(lambda k: 0.5 * k ** -1.7, ks),
+                             5, 90) == pytest.approx(-1.7, abs=1e-10)
 
 
 def test_fit_rate_window_and_positivity_errors():
-    trace = synthetic_trace(lambda k: 1.0 / k, range(1, 20))
+    columns = synthetic_columns(lambda k: 1.0 / k, range(1, 20))
     with pytest.raises(ValueError):
-        analysis.fit_rate(trace, "beta_k", 100, 200)
-    trace = synthetic_trace(lambda k: (-1.0) ** k / k, range(1, 20))
+        analysis.fit_rate(*columns, 100, 200)
+    columns = synthetic_columns(lambda k: (-1.0) ** k / k, range(1, 20))
     with pytest.raises(ValueError):
-        analysis.fit_rate(trace, "beta_k", 1, 19)
+        analysis.fit_rate(*columns, 1, 19)
     # k = 0 has no logarithm: a window reaching below 1 is an error, not a dropped row
-    trace = synthetic_trace(lambda k: 1.0 / (k + 1), range(0, 20))
+    columns = synthetic_columns(lambda k: 1.0 / (k + 1), range(0, 20))
     for k_min in (0, -5):
         with pytest.raises(ValueError, match="k_min"):
-            analysis.fit_rate(trace, "beta_k", k_min, 10)
+            analysis.fit_rate(*columns, k_min, 10)
 
 
 def test_interpolated_beta_dominated_by_fitted_envelope():

@@ -113,15 +113,14 @@ def test_gross_step_leaves_simplex_interior():
         known_optimum=-35.0, holder=(1.0, 0.0))
     with pytest.raises(flow.FlowDomainError) as err:
         flow.integrate(inst, t_end=20.0, dt=2.5)
-    assert err.value.last_state.t == pytest.approx(0.0)
+    assert err.value.t == pytest.approx(0.0)
     with pytest.raises(flow.FlowDomainError) as err:
         flow.integrate(inst, t_end=20.0, dt=1.5)
-    last, reached = err.value.last_state, flow.integrate(inst, t_end=1.5, dt=1.5)
-    assert isinstance(last, flow.FlowState) and last.t == reached.t[-1] == 1.5
-    stacked = np.concatenate((last.x, last.w, last.lam))
-    assert stacked.tobytes() == reached.states[-1].tobytes()
+    last, reached = err.value.state, flow.integrate(inst, t_end=1.5, dt=1.5)
+    assert err.value.t == reached.t[-1] == 1.5
+    assert last.tobytes() == reached.states[-1].tobytes()
     # the error keeps its own (x, w, lam), not the whole preallocated grid
-    assert last.x.base.shape == (2 * 3,)
+    assert last.base is None and last.shape == (2 * 3,)
 
 
 def test_integrate_argument_validation():
@@ -158,6 +157,13 @@ def test_default_gamma0_matches_the_solver_without_a_norm_metadata():
     assert np.array_equal(default.states[-1], explicit.states[-1])
 
 
+@pytest.mark.parametrize("gamma0", [-1.0, 0.0, float("nan"), float("inf")])
+def test_integrate_rejects_a_gamma0_the_solver_rejects(gamma0):
+    qp = problems.make_synthetic_qp(8, 3, mu=0.0, seed=1)
+    with pytest.raises(ValueError, match="gamma0"):
+        flow.integrate(qp, t_end=1.0, dt=0.1, gamma0=gamma0)
+
+
 def test_flow_lyapunov_is_the_lagrangian_formula():
     qp = problems.make_synthetic_qp(9, 3, mu=0.4, seed=7)
     gamma0 = SolverConfig().resolved(qp).gamma0
@@ -166,14 +172,14 @@ def test_flow_lyapunov_is_the_lagrangian_formula():
     n = qp.geometry.dimension
     for z, t, value in zip(trajectory.states, trajectory.t.tolist(),
                            trajectory.lyapunov.tolist()):
-        state = flow.FlowState(x=z[:n], w=z[n:2 * n], lam=z[2 * n:], t=t)
-        v = qp.geometry.grad_conj(state.w)
-        dl = state.lam - lam_star
-        want = (lagrangian(qp, state.x, lam_star) - lagrangian(qp, x_star, state.lam)
-                + flow.gamma_of(state.t, qp.mu, gamma0) * qp.geometry.divergence(x_star, v)
-                + 0.5 * flow.beta_of(state.t) * float(dl @ dl))
+        x, w, lam = z[:n], z[n:2 * n], z[2 * n:]
+        v = qp.geometry.grad_conj(w)
+        dl = lam - lam_star
+        want = (lagrangian(qp, x, lam_star) - lagrangian(qp, x_star, lam)
+                + flow.gamma_of(t, qp.mu, gamma0) * qp.geometry.divergence(x_star, v)
+                + 0.5 * flow.beta_of(t) * float(dl @ dl))
         assert value == want
-        assert flow.flow_lyapunov(state, qp, gamma0) == value
+        assert flow.flow_lyapunov(z, t, qp, gamma0) == value
 
 
 def test_flow_evaluates_the_saddle_objective_once():

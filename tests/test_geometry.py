@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uapd.geometry import (EntropyGeometry, EuclideanGeometry, _project_simplex,
-                           _prox_squared_l1, three_term_residual)
+                           _prox_squared_l1)
 
 import helpers
 
@@ -115,7 +115,7 @@ def test_contains_rejects_bad_points():
 
 
 def relative_three_term(geom, x, y, z):
-    res = three_term_residual(geom, x, y, z)
+    res = helpers.three_term_residual(geom, x, y, z)
     scale = max(1.0, abs(geom.divergence(z, x)), abs(geom.divergence(z, y)),
                 abs(geom.divergence(y, x)))
     return abs(res) / scale

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uapd.geometry import (EntropyGeometry, EuclideanGeometry, _project_simplex,
-                           _prox_squared_l1, three_term_residual)
+                           _prox_squared_l1)
 from uapd.problems import (instance_from_dict, instance_to_dict, make_basis_pursuit,
                            make_matrix_game, make_regularized_matrix_game,
                            make_steiner, make_synthetic_qp)
@@ -132,7 +132,7 @@ def test_three_term_identity(data):
     x, y, z = (data.draw(points(geom)) for _ in range(3))
     scale = max(1.0, abs(geom.divergence(z, x)), abs(geom.divergence(z, y)),
                 abs(geom.divergence(y, x)))
-    assert abs(three_term_residual(geom, x, y, z)) <= 1e-10 * scale
+    assert abs(helpers.three_term_residual(geom, x, y, z)) <= 1e-10 * scale
 
 
 @st.composite

@@ -139,7 +139,7 @@ def test_delta_fixed_tolerance_policy():
 
 
 @pytest.mark.parametrize("entry", ["solve", "cli"])
-@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
 def test_fixed_eps_must_be_positive_at_both_entry_points(entry, eps, tmp_path, capsys):
     recipe = {"kind": "synthetic_qp", "n": 7, "m": 3, "mu": 0.0, "seed": 7}
     if entry == "solve":
@@ -540,9 +540,10 @@ def test_trace_objective_is_objective_at_iterate():
 
 
 def test_config_validation():
-    nan = float("nan")
-    for bad in ({"M0": 0.0}, {"M0": nan}, {"gamma0": -1.0}, {"gamma0": nan},
-                {"max_iterations": -1}, {"max_iterations": 2.5}, {"max_iterations": nan},
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"M0": 0.0}, {"M0": nan}, {"M0": inf}, {"gamma0": -1.0}, {"gamma0": nan},
+                {"gamma0": inf}, {"max_iterations": -1}, {"max_iterations": 2.5},
+                {"max_iterations": nan}, {"max_iterations": True},
                 {"gap_target": nan}, {"gap_target": -1e-3},
                 {"feasibility_target": nan}, {"feasibility_target": -1e-3}):
         with pytest.raises(ValueError, match=next(iter(bad))):
