@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from itertools import zip_longest
@@ -43,6 +42,7 @@ from itertools import zip_longest
 from .analysis import (decay_spec_for_solver, envelope, fit_rate,
                        rate_bound_preconditions)
 from .flow import FlowGridError, integrate, trajectory_to_csv
+from .geometry import check_number
 from .problems import load_instance
 from .solver import SolverConfig, SolverError, solve, trace_to_csv
 
@@ -88,13 +88,12 @@ def _require(cfg, field):
     return cfg[field]
 
 
-def _number(value, name, integer=False):
-    """``value`` if it is a finite number (an integer if asked), else ConfigError."""
-    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-            or not math.isfinite(value)):
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"'{name}' must be {kind}, got {value!r}")
-    return value
+def _number(value, name, *args, **kwargs):
+    """``value`` if :func:`check_number` accepts it, else ConfigError naming ``'name'``."""
+    try:
+        return check_number(value, f"'{name}'", *args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _resolve_instance(spec, base_dir):
@@ -104,7 +103,7 @@ def _resolve_instance(spec, base_dir):
         raise ConfigError("'instance' must be a dict or a path string")
     try:
         return load_instance(spec)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, MemoryError) as exc:
         raise ConfigError(f"bad instance description: {exc}") from exc
 
 
@@ -113,14 +112,9 @@ def _solver_config(cfg, instance):
     section = cfg.get("solver", {})
     if not isinstance(section, dict):
         raise ConfigError("'solver' must be a dict of SolverConfig fields")
-    known = set(SolverConfig.__dataclass_fields__)
-    unknown = set(section) - known
+    unknown = set(section) - set(SolverConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown solver fields {sorted(unknown)}")
-    for name, value in section.items():
-        default = SolverConfig.__dataclass_fields__[name].default
-        if not (value is None and default is None):
-            _number(value, f"solver.{name}", integer=isinstance(default, int))
     try:
         return SolverConfig(**section).resolved(instance)
     except ValueError as exc:
@@ -132,17 +126,14 @@ def _fixed_eps(eps):
     if eps is None:
         raise ConfigError("config is missing the field 'eps' "
                           "(required by the fixed_tolerance variant)")
-    eps = float(_number(eps, "eps"))
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    return eps
+    return float(_number(eps, "eps", positive=True))
 
 
 def _variant(cfg):
     """``solve``'s ``fixed_eps`` for the configured variant: None for "uapd"."""
     name, eps = cfg.get("variant", "uapd"), cfg.get("eps")
     if eps is not None:
-        _number(eps, "eps")
+        _number(eps, "eps", positive=True)
     if name not in ("uapd", "fixed_tolerance"):
         raise ConfigError(f"unknown variant {name!r} (expected 'uapd' or 'fixed_tolerance')")
     return None if name == "uapd" else _fixed_eps(eps)
@@ -207,7 +198,7 @@ def cmd_flow(cfg, instance, config, out):
     for field in ("t_end", "dt"):
         if field not in section:
             raise ConfigError(f"config is missing the field 'flow.{field}'")
-        _number(section[field], f"flow.{field}")
+        _number(section[field], f"flow.{field}", positive=True)
     try:
         trajectory = integrate(instance, t_end=float(section["t_end"]), dt=float(section["dt"]),
                                gamma0=config.gamma0)
@@ -221,28 +212,21 @@ def cmd_bounds(cfg, instance, config, out):
     section = cfg.get("bounds", {})
     if not isinstance(section, dict):
         raise ConfigError("'bounds' must be a dict")
-    for field in ("nu", "M_nu"):
-        if field in section:
-            _number(section[field], f"bounds.{field}")
     # nu and M_nu default to the instance's Hoelder certificate, nu = 0 and
     # no M_nu without one; the certificate's constant holds at its nu only
     nu, m_nu = instance.holder or (0.0, None)
-    if section.get("nu", nu) != nu:
+    if _number(section.get("nu", nu), "bounds.nu", 1) != nu:
         nu, m_nu = float(section["nu"]), None
     m_nu = section.get("M_nu", m_nu)
-    if not 0.0 <= nu <= 1.0:
-        raise ConfigError(f"'bounds.nu' must lie in [0, 1], got {nu!r}")
     if m_nu is None:
         raise ConfigError(f"config is missing the field 'bounds.M_nu' (the instance "
                           f"certifies no Hoelder constant at nu = {nu!r})")
-    if not m_nu > 0:
-        raise ConfigError(f"'bounds.M_nu' must be positive, got {m_nu!r}")
-    m_nu = float(m_nu)
+    m_nu = float(_number(m_nu, "bounds.M_nu", positive=True))
     window = section.get("fit_window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2):
             raise ConfigError(f"'bounds.fit_window' must be [k_lo, k_hi], got {window!r}")
-        window = [_number(k, "bounds.fit_window", integer=True) for k in window]
+        window = [_number(k, "bounds.fit_window", positive=True, integer=True) for k in window]
         if not 1 <= window[0] <= window[1]:
             raise ConfigError(f"'bounds.fit_window' must have 1 <= k_lo <= k_hi, got {window!r}")
 

@@ -21,6 +21,8 @@ needed, and negation is exact, so thresholds keep the descending bits.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "BregmanGeometry",
     "EuclideanGeometry",
     "EntropyGeometry",
+    "check_number",
 ]
 
 # Entries are floored at this value before taking logarithms so that
@@ -37,6 +40,25 @@ LOG_FLOOR = 1e-300
 # Block sums of simplex points may drift by this much before they are
 # considered outside the domain; prox outputs are renormalized exactly.
 SIMPLEX_SUM_TOL = 1e-9
+
+
+def check_number(value, name, high=math.inf, *, positive=False, integer=False):
+    """``value`` if it is a number in [0, high] (0 excluded if ``positive``), else ValueError.
+
+    The type is checked first (a real number and no bool; an integer if
+    ``integer``), then finiteness (in a float field; an int too large
+    for a float is not finite), then the range.  The error names ``name``.
+    """
+    ok = (not isinstance(value, bool)
+          and isinstance(value, numbers.Integral if integer else numbers.Real)
+          and (integer or abs(value) <= sys.float_info.max))
+    if not (ok and (value > 0 if positive else value >= 0) and value <= high):
+        rule = "positive" if positive else "nonnegative"
+        if high < math.inf:
+            rule += f", at most {high}"
+        kind = "an integer" if integer else "finite"
+        raise ValueError(f"{name} must be {rule} and {kind}, got {value!r}")
+    return value
 
 
 def _check_vector(x, n, name):
@@ -179,10 +201,8 @@ class BregmanGeometry:
         c = _check_vector(c, self.dimension, "c")
         y = _check_vector(y, self.dimension, "y")
         v = _check_vector(v, self.dimension, "v")
-        if not mu >= 0:
-            raise ValueError(f"mu must be nonnegative, got {mu}")
-        if not rho > 0:
-            raise ValueError(f"rho must be positive, got {rho}")
+        check_number(mu, "mu")
+        check_number(rho, "rho", positive=True)
         if nonsmooth not in self.nonsmooth:
             raise ValueError(f"the {self.kind} prox on the {self.domain} domain does not "
                              f"support the nonsmooth term {nonsmooth!r}")

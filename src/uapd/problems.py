@@ -11,13 +11,12 @@ replay bit-exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BregmanGeometry, EntropyGeometry, EuclideanGeometry
+from .geometry import BregmanGeometry, EntropyGeometry, EuclideanGeometry, check_number
 
 __all__ = [
     "ProblemInstance",
@@ -79,7 +78,8 @@ class ProblemInstance:
     and enables :meth:`lyapunov`; its f(x*) and A x* - b are formed once
     here, as ``objective_star`` and ``residual_star``.  ``known_optimum``
     is f(x*) when known.  ``a_norm`` is ||A||, computed once here (0.0
-    when unconstrained) and also published as ``metadata["a_norm"]``.
+    when unconstrained) and also published as ``metadata["a_norm"]``;
+    the solver squares it, so a square past the float range is refused.
     ``holder`` is h's Hoelder certificate ``(nu, M_nu)``, with
     ||grad h(x) - grad h(y)|| <= M_nu ||x - y||^nu in the Euclidean
     norm, or None when the instance declares none.  The instance owns the
@@ -111,12 +111,14 @@ class ProblemInstance:
     residual_block: slice = field(init=False, default=None)
 
     def __post_init__(self):
-        if not self.mu >= 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
-        if self.holder is not None and not (0 <= self.holder[0] <= 1
-                                            and 0 <= self.holder[1] < math.inf):
-            raise ValueError(f"holder must be (nu, M_nu) with nu in [0, 1] and M_nu "
-                             f"finite and nonnegative, got {self.holder!r}")
+        check_number(self.mu, "mu")
+        if self.holder is not None:
+            try:
+                nu, m_nu = self.holder
+                check_number(nu, "nu", 1)
+                check_number(m_nu, "M_nu")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"holder must be a pair (nu, M_nu): {exc}") from None
         if self.g_spec not in self.geometry.nonsmooth:
             raise ValueError(f"g_spec {self.g_spec!r} is not one of the nonsmooth terms "
                              f"{self.geometry.nonsmooth} that the geometry's prox solves")
@@ -132,6 +134,8 @@ class ProblemInstance:
             if n != self.geometry.dimension or self.b.shape != (m,):
                 raise ValueError("constraint dimensions do not match the geometry")
             self.a_norm = operator_norm(self.A)
+            if self.a_norm * self.a_norm == math.inf:  # the solver squares it
+                raise ValueError(f"the square of ||A|| = {self.a_norm:g} overflows the float range")
             self.metadata["a_norm"] = self.a_norm
             self.constrained, self.dual_dimension = True, m
         n, m = self.geometry.dimension, self.dual_dimension
@@ -228,6 +232,15 @@ class InstanceRecipe:
     a_norm: float | None = None
     eig_spread: float = 9.0
 
+    def __post_init__(self):
+        for name in ("m", "n"):
+            check_number(getattr(self, name), name, positive=True, integer=True)
+        check_number(self.seed, "seed", integer=True)
+        check_number(self.mu, "mu")
+        check_number(self.eig_spread, "eig_spread")
+        if self.a_norm is not None:
+            check_number(self.a_norm, "a_norm", positive=True)
+
     def generate(self):
         """The instance of this recipe; its generator rejects a field it reads and lacks."""
         return _kind(self.kind).generate(self)
@@ -310,8 +323,6 @@ def _assemble_matrix_game(P, seed, geometry_kind):
 
 def make_matrix_game(m, n, seed, geometry="entropy"):
     """Random two-player zero-sum game on the product simplex."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n, m))
     return _assemble_matrix_game(P, seed, geometry)
@@ -338,8 +349,7 @@ def _assemble_regularized_game(P, eps, seed):
     n, m = P.shape
     if m < 2:
         raise ValueError("the smoothed game needs at least two columns")
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
-        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+    check_number(eps, "eps", positive=True)
     sigma = eps / (2.0 * np.log(m))
     # z^T hess h z = Var_w(P^T z) / sigma <= (range of P^T z)^2 / (4 sigma)
     # (Popoviciu) <= max_j ||P[:, j]||^2 ||z||^2 / sigma
@@ -401,8 +411,6 @@ def _assemble_steiner(anchors, seed):
 
 def make_steiner(m, n, seed):
     """Sum of Euclidean distances to random anchors on R^n_+."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
     rng = np.random.default_rng(seed)
     anchors = rng.standard_normal((m, n))
     return _assemble_steiner(anchors, seed)
@@ -413,17 +421,11 @@ def make_steiner(m, n, seed):
 # h = 0, declared by the absent oracle.
 
 
-def _check_sparsity(sparsity, m):
-    if (isinstance(sparsity, bool) or not isinstance(sparsity, numbers.Integral)
-            or not 1 <= sparsity <= m):
-        raise ValueError(f"sparsity must be an integer in [1, m = {m}], got {sparsity!r}")
-
-
 def _assemble_basis_pursuit(A, b, x_true, seed, sparsity):
     """``x_true`` and ``sparsity`` may each be None, as a document allows."""
     m, n = A.shape
     if sparsity is not None:
-        _check_sparsity(sparsity, m)
+        check_number(sparsity, "sparsity", m, positive=True, integer=True)
     return ProblemInstance(
         h_oracle=None,
         g_spec="squared_l1_half",
@@ -446,7 +448,7 @@ def make_basis_pursuit(m, n, seed, sparsity):
     """Random underdetermined system with a sparse planted solution."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    _check_sparsity(sparsity, m)  # before the draw, which reads it
+    check_number(sparsity, "sparsity", m, positive=True, integer=True)  # the draw reads it
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     support = rng.choice(n, size=sparsity, replace=False)
@@ -492,37 +494,37 @@ def make_synthetic_qp(n, m, mu, seed, a_norm=None, eig_spread=9.0):
     H is symmetric with smallest eigenvalue exactly ``mu``; A has full
     row rank (rescaled to ``a_norm`` when given).  The saddle point is
     read off the KKT system, which is re-sampled on the rare singular
-    draw.
+    draw; ValueError when 20 draws give no finite, nonsingular system.
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
     rng = np.random.default_rng(seed)
-    for _ in range(20):
-        G = rng.standard_normal((n, n))
-        Q, _ = np.linalg.qr(G)
-        eigs = mu + eig_spread * rng.uniform(size=n)
-        eigs[0] = mu
-        H = (Q * eigs) @ Q.T
-        H = 0.5 * (H + H.T)
-        A = rng.standard_normal((m, n))
-        if a_norm is not None:
-            A = A * (a_norm / operator_norm(A))
-        c = rng.standard_normal(n)
-        b = A @ rng.standard_normal(n)
-        kkt = np.block([[H, A.T], [A, np.zeros((m, m))]])
-        rhs = np.concatenate([-c, b])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        xs, ls = sol[:n], sol[n:]
-        scale = 1.0 + float(np.linalg.norm(rhs))
-        if float(np.linalg.norm(kkt @ sol - rhs)) > 1e-10 * scale:
-            continue
-        return _assemble_synthetic_qp(H, c, A, b, (xs, ls), mu, seed)
-    raise RuntimeError("could not draw a nonsingular KKT system in 20 attempts")
+    # overflow is not warned about: it fails the residual test or ProblemInstance's ||A|| check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(20):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            eigs = mu + eig_spread * rng.uniform(size=n)
+            eigs[0] = mu
+            H = (Q * eigs) @ Q.T
+            H = 0.5 * (H + H.T)
+            A = rng.standard_normal((m, n))
+            if a_norm is not None:
+                A = A * (a_norm / operator_norm(A))
+            c = rng.standard_normal(n)
+            b = A @ rng.standard_normal(n)
+            kkt = np.block([[H, A.T], [A, np.zeros((m, m))]])
+            rhs = np.concatenate([-c, b])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            scale = 1.0 + float(np.linalg.norm(rhs))
+            if float(np.linalg.norm(kkt @ sol - rhs)) <= 1e-10 * scale:
+                break
+        else:
+            raise ValueError(f"20 draws gave no finite, nonsingular KKT system for mu = {mu!r}, "
+                             f"eig_spread = {eig_spread!r} and a_norm = {a_norm!r}")
+    return _assemble_synthetic_qp(H, c, A, b, (sol[:n], sol[n:]), mu, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time
 from array import array
 from collections.abc import Sequence
@@ -46,6 +45,8 @@ from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
+
+from .geometry import check_number
 
 __all__ = [
     "LINE_SEARCH_CAP",
@@ -101,19 +102,12 @@ class SolverConfig:
     gap_target: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.M0 < math.inf:
-            raise ValueError(f"M0 must be positive and finite, got {self.M0!r}")
-        if self.gamma0 is not None and not 0 < self.gamma0 < math.inf:
-            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0!r}")
-        if (isinstance(self.max_iterations, bool)
-                or not isinstance(self.max_iterations, numbers.Integral)):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
-        for name in ("feasibility_target", "gap_target"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name} must be None or nonnegative, got {value!r}")
+        check_number(self.M0, "M0", positive=True)
+        check_number(self.max_iterations, "max_iterations", integer=True)
+        for name, positive in (("gamma0", True), ("feasibility_target", False),
+                               ("gap_target", False)):
+            if getattr(self, name) is not None:
+                check_number(getattr(self, name), name, positive=positive)
 
     def resolved(self, instance):
         """A copy with the default gamma0 filled in from ``instance.a_norm``.
@@ -413,8 +407,8 @@ def solve(instance, config=None, fixed_eps=None):
     instance)`` sees every accepted step at full precision and must
     return the new state.
     """
-    if fixed_eps is not None and not 0 < fixed_eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {fixed_eps!r}")
+    if fixed_eps is not None:
+        check_number(fixed_eps, "eps", positive=True)
     config = (config or SolverConfig()).resolved(instance)
     state = initial_state(instance, config)
     t0 = time.perf_counter()

@@ -146,13 +146,38 @@ def test_unusable_out_exits_2_before_solving(tmp_path, capsys, monkeypatch, out)
     assert calls == []
 
 
-def test_operator_norm_overflow_exits_2_with_one_error_line(tmp_path, capsys):
+def _huge_norm_document():
     doc = problems.instance_to_dict(problems.make_basis_pursuit(1, 2, seed=2, sparsity=1))
     doc["A"] = [[1.7e308, 1e308]]  # ||A|| exceeds the float range
-    cfg = write_config(tmp_path / "run.json", {"instance": doc})
+    return doc
+
+
+@pytest.mark.parametrize("instance", [
+    _huge_norm_document(),
+    # ||A|| = 1e200 is a float, but the solver squares it
+    {"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 0.5, "seed": 12, "a_norm": 1e200},
+], ids=["document", "recipe"])
+def test_operator_norm_overflow_exits_2_with_one_error_line(tmp_path, capsys, instance):
+    cfg = write_config(tmp_path / "run.json", {"instance": instance, "output": "big"})
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("big_*"))
+
+
+def test_an_instance_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    def unallocatable(m, n, seed):
+        raise MemoryError(f"Unable to allocate an array with shape ({m}, {n})")
+
+    # the kind table looks make_steiner up when the recipe is built: nothing is allocated
+    monkeypatch.setattr(problems, "make_steiner", unallocatable)
+    cfg = write_config(tmp_path / "run.json",
+                       {"instance": {"kind": "steiner", "m": 3, "n": 10 ** 11, "seed": 0},
+                        "output": "huge"})
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad instance description: Unable to allocate")
+    assert err.count("\n") == 1 and not list(tmp_path.glob("huge_*"))
 
 
 def test_beta0_is_an_unknown_solver_field(tmp_path, capsys):
@@ -312,10 +337,16 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
     ("flow", {"flow": {"t_end": 1e30, "dt": 1.0}}),
     ("solve", {"instance": {"kind": "steiner", "m": 6, "n": 3, "seed": 4},
                "solver": {"gap_target": 1e-3}}),
+    # no seeded draw of these QP recipes gives a finite, nonsingular KKT system
+    ("solve", {"instance": {"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 1e30, "seed": 12}}),
+    ("solve", {"instance": {"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 1e308, "seed": 12}}),
+    ("solve", {"instance": {"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 0.5, "seed": 12,
+                            "eig_spread": 1e308}}),
 ], ids=["fit_window_short", "fit_window_string", "max_iterations_string",
         "flow_dt_string", "flow_t_end_string", "eps_string", "recipe_field_not_read",
         "flow_dt_zero", "flow_t_end_negative", "flow_no_whole_step", "flow_step_count_overflow",
-        "flow_grid_past_intp", "gap_target_without_optimum"])
+        "flow_grid_past_intp", "gap_target_without_optimum", "qp_mu_1e30", "qp_mu_1e308",
+        "qp_eig_spread_1e308"])
 def test_malformed_sections_exit_2_with_one_error_line(tmp_path, capsys, command,
                                                        overrides):
     cfg = write_config(tmp_path / "run.json", qp_config(**overrides))

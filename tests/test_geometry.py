@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uapd.geometry import (EntropyGeometry, EuclideanGeometry, _project_simplex,
+from uapd.geometry import (EntropyGeometry, EuclideanGeometry, _project_simplex, check_number,
                            _prox_squared_l1)
 
 import helpers
@@ -316,3 +316,27 @@ def test_bad_constructor_arguments():
         EuclideanGeometry(3, blocks=(3,))
     with pytest.raises(ValueError):
         EntropyGeometry(5, blocks=(2, 2))
+
+
+@pytest.mark.parametrize("value, kwargs, message", [
+    (True, {}, "x must be nonnegative and finite, got True"),
+    ("1", {}, "x must be nonnegative and finite, got '1'"),
+    (None, {"integer": True}, "x must be nonnegative and an integer, got None"),
+    (2.0, {"integer": True}, "x must be nonnegative and an integer, got 2.0"),
+    (float("inf"), {}, "x must be nonnegative and finite, got inf"),
+    (10 ** 400, {}, "x must be nonnegative and finite, got 1" + "0" * 400),
+    (0, {"positive": True}, "x must be positive and finite, got 0"),
+    (6, {"high": 5, "positive": True, "integer": True},
+     "x must be positive, at most 5 and an integer, got 6"),
+])
+def test_check_number_tests_the_type_then_finiteness_then_the_range(value, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        check_number(value, "x", **kwargs)
+    assert str(err.value) == message
+
+
+def test_check_number_returns_what_it_accepts():
+    # an int is finite in an integer field however large, and numpy scalars are numbers
+    for value, kwargs in ((10 ** 400, {"integer": True}), (np.int64(3), {"integer": True}),
+                          (np.float64(0.5), {"high": 1}), (0, {}), (1e308, {})):
+        assert check_number(value, "x", **kwargs) is value

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +286,8 @@ def test_operator_norm_runs_once_per_constrained_build_and_never_in_solve(monkey
         ProblemInstance(h_oracle=None, g_spec="zero", geometry=game.geometry, a_norm=1.0)
 
 
-@pytest.mark.parametrize("mu", [-0.5, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("mu", [-0.5, float("nan"), float("inf"), "x"],
+                         ids=["negative", "nan", "inf", "string"])
 def test_instance_rejects_a_negative_or_nan_mu(mu):
     with pytest.raises(ValueError, match="mu must be nonnegative"):
         ProblemInstance(h_oracle=lambda x: (0.0, np.zeros(3)), g_spec="zero",
@@ -407,6 +410,37 @@ def test_synthetic_qp_gradient_finite_difference():
     _, grad = inst.h(x)
     fd = helpers.finite_difference_gradient(lambda u: inst.h(u)[0], x)
     assert np.max(np.abs(grad - fd)) < 1e-4
+
+
+@pytest.mark.parametrize("mu, eig_spread", [(1e30, 9.0), (1e308, 9.0), (0.5, 1e308)])
+def test_synthetic_qp_without_a_good_draw_names_its_numbers(mu, eig_spread):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow in the draw fails it without a warning
+        named = re.escape(f"mu = {mu!r}, eig_spread = {eig_spread!r}")
+        with pytest.raises(ValueError, match=named):
+            make_synthetic_qp(8, 3, mu=mu, seed=12, eig_spread=eig_spread)
+
+
+def test_an_a_norm_whose_square_overflows_is_refused():
+    with pytest.raises(ValueError, match=r"square of \|\|A\|\| = 1e\+200 overflows"):
+        make_synthetic_qp(8, 3, mu=0.5, seed=12, a_norm=1e200)
+
+
+RECIPE_NUMBERS = [
+    ("m", 0, "positive"), ("n", "8", "positive"), ("m", 2.0, "an integer"),
+    ("seed", -1, "nonnegative"), ("seed", True, "an integer"),
+    ("mu", float("nan"), "finite"), ("mu", -1.0, "nonnegative"),
+    ("eig_spread", -5, "nonnegative"), ("a_norm", -1, "positive"), ("a_norm", 0, "positive"),
+    ("a_norm", 10 ** 400, "finite"),
+]
+
+
+@pytest.mark.parametrize("field, value, rule", RECIPE_NUMBERS,
+                         ids=[f"{field}={value!r:.8}" for field, value, _ in RECIPE_NUMBERS])
+def test_recipe_numbers_are_checked_naming_the_field(field, value, rule):
+    recipe = {"kind": "synthetic_qp", "m": 3, "n": 8, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be .*{rule}"):
+        InstanceRecipe.from_dict(recipe)
 
 
 def test_synthetic_qp_a_norm_rescaling():

@@ -6,10 +6,18 @@ recipes; each property is checked against the independent oracles in
 the suite is deterministic and its wall time stays small.
 """
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uapd.geometry import (EntropyGeometry, EuclideanGeometry, _project_simplex,
@@ -17,7 +25,8 @@ from uapd.geometry import (EntropyGeometry, EuclideanGeometry, _project_simplex,
 from uapd.problems import (instance_from_dict, instance_to_dict, make_basis_pursuit,
                            make_matrix_game, make_regularized_matrix_game,
                            make_steiner, make_synthetic_qp)
-from uapd.solver import SolverConfig, solve
+from uapd import cli
+from uapd.solver import SolverConfig, SolverError, solve
 
 import helpers
 
@@ -190,3 +199,120 @@ def test_json_round_trip_replays_bit_identical_trace(instance):
     assert clone.metadata.get("a_norm") == instance.metadata.get("a_norm")
     assert clone.holder == instance.holder
     assert replay(clone) == replay(instance)
+
+
+def boundary_sources():
+    """Name -> (command, config): each configs/*.json and a document run of each kind."""
+    sources = {}
+    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        if "flow" in cfg:
+            cfg["flow"]["t_end"] = 0.01  # ten RK4 steps
+        sources[path.stem] = (path.stem.rsplit("_", 1)[1], cfg)
+    for instance in (make_matrix_game(3, 4, seed=1),
+                     make_regularized_matrix_game(4, 5, seed=1, eps=0.1),
+                     make_steiner(3, 2, seed=0),
+                     make_basis_pursuit(4, 6, seed=2, sparsity=2),
+                     make_synthetic_qp(6, 2, mu=0.5, seed=3)):
+        doc = instance_to_dict(instance)
+        sources[f"document_{doc['kind']}"] = ("solve", {"instance": doc})
+    return sources
+
+
+BOUNDARY_SOURCES = boundary_sources()
+
+
+def boundary_fields(cfg):
+    """The fields a mutation may set: the config's own, every solver field, recipe extras."""
+    names = set(cfg)
+    names.update(f"{key}.{name}" for key, section in cfg.items() if isinstance(section, dict)
+                 for name in section)
+    names.update(f"solver.{f.name}" for f in fields(SolverConfig))
+    if cfg["instance"].get("kind") == "synthetic_qp" and "H" not in cfg["instance"]:
+        names.update(("instance.a_norm", "instance.eig_spread"))
+    if "bounds" in cfg:
+        names.update(("bounds.nu", "bounds.M_nu"))
+    return sorted(names)
+
+
+# A wrong type, a bool, null, zero, a negative, +-inf, NaN, the largest float
+# decade and a 400-digit integer (json.dumps writes Infinity and NaN).
+BAD_NUMBERS = ("x", True, None, 0, -1, math.inf, -math.inf, math.nan, 1e308, 10 ** 400)
+# a valid integer here is unbounded in work, so only invalid values are drawn;
+# solve is capped below, so max_iterations draws every value
+UNBOUNDED = ("instance.m", "instance.n")
+
+
+@st.composite
+def boundary_cases(draw):
+    source = draw(st.sampled_from(sorted(BOUNDARY_SOURCES)))
+    field = draw(st.sampled_from(boundary_fields(BOUNDARY_SOURCES[source][1])))
+    values = [v for v in BAD_NUMBERS
+              if not (field in UNBOUNDED and type(v) is int and v >= 1)]
+    return source, field, draw(st.sampled_from(values))
+
+
+def run_mutated(source, field, value):
+    """(exit code, stderr, files written, what the capped solve saw or raised)."""
+    command, cfg = BOUNDARY_SOURCES[source]
+    cfg = json.loads(json.dumps(cfg))
+    section, _, name = field.partition(".")
+    if name:
+        if not isinstance(cfg.get(section), dict):
+            cfg[section] = {}
+        cfg[section][name] = value
+    else:
+        cfg[section] = value
+    seen = []
+
+    def capped_solve(instance, config=None, fixed_eps=None):
+        seen.append(config.max_iterations)
+        try:
+            return solve(instance, replace(config, max_iterations=min(config.max_iterations, 12)),
+                         fixed_eps=fixed_eps)
+        except Exception as exc:
+            seen.append(exc)
+            raise
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "run.json"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(cfg))
+        err = io.StringIO()
+        with mock.patch.object(cli, "solve", capped_solve), contextlib.redirect_stderr(err):
+            code = cli.main([command, path, "--out", out])
+        written = os.listdir(out) if os.path.isdir(out) else []
+    return code, err.getvalue(), written, seen
+
+
+@PROPERTY
+@given(boundary_cases())
+# the probes of the recipe, of 400-digit integers, of a squared ||A|| past the
+# float range and of QP recipes that no draw can satisfy
+@example(("qp_flow", "instance.a_norm", -1))
+@example(("qp_flow", "instance.a_norm", 0))
+@example(("qp_bounds", "instance.eig_spread", -5))
+@example(("qp_bounds", "instance.mu", math.nan))
+@example(("qp_flow", "instance.n", "8"))
+@example(("game_compare", "eps", 10 ** 400))
+@example(("qp_flow", "flow.dt", 10 ** 400))
+@example(("qp_bounds", "bounds.M_nu", 10 ** 400))
+@example(("qp_bounds", "instance.a_norm", 1e200))
+@example(("qp_flow", "instance.mu", 1e30))
+@example(("qp_flow", "instance.mu", 1e308))
+@example(("qp_bounds", "instance.eig_spread", 1e308))
+@example(("game_solve", "solver.max_iterations", 10 ** 400))
+def test_one_bad_number_exits_cleanly(case):
+    code, err, written, seen = run_mutated(*case)
+    lines = err.splitlines()
+    assert code in (0, 1, 2), (case, code)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (case, err)
+    else:
+        assert err == "", (case, err)
+    if code == 1:  # only a valid instance whose solve fails
+        assert seen and isinstance(seen[-1], SolverError), (case, err)
+    if code == 2:
+        assert written == [], (case, written)
+    if case[1] == "solver.max_iterations" and case[2] == 10 ** 400:
+        assert code == 0 and seen[0] == 10 ** 400  # valid: the solve gets it as given

@@ -545,10 +545,14 @@ def test_config_validation():
                 {"gamma0": inf}, {"max_iterations": -1}, {"max_iterations": 2.5},
                 {"max_iterations": nan}, {"max_iterations": True},
                 {"gap_target": nan}, {"gap_target": -1e-3},
-                {"feasibility_target": nan}, {"feasibility_target": -1e-3}):
+                {"feasibility_target": nan}, {"feasibility_target": -1e-3},
+                # the type is checked before the range, so no bare TypeError
+                {"gamma0": "x"}, {"M0": None}, {"M0": True}, {"feasibility_target": "x"},
+                {"feasibility_target": inf}, {"gap_target": inf}, {"M0": 10 ** 400}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverConfig(**bad)
     assert SolverConfig(max_iterations=np.int64(3), gap_target=0.0).max_iterations == 3
+    assert SolverConfig(max_iterations=10 ** 400).max_iterations == 10 ** 400
     # the paper fixes beta0, delta's scale and the cap; the instance owns mu and ||A||
     for name in ("beta0", "mu", "A_norm", "delta_scale", "line_search_cap"):
         with pytest.raises(TypeError):
