@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import check_number
+
 __all__ = [
     "DecayBoundSpec",
     "holder_constant",
@@ -41,22 +43,21 @@ def holder_constant(nu, delta, M_nu):
     For nu = 1 the tolerance dependence vanishes and the value is M_nu.
     Decreasing in delta for nu < 1.
     """
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    if delta <= 0 or M_nu <= 0:
-        raise ValueError("delta and M_nu must be positive")
+    check_number(nu, "nu", 1)
+    check_number(delta, "delta", positive=True)
+    check_number(M_nu, "M_nu", positive=True)
     return delta ** ((nu - 1.0) / (nu + 1.0)) * M_nu ** (2.0 / (nu + 1.0))
 
 
 def mk_bound(nu, M_nu, M0, delta_k):
     """Upper bound max{2*sqrt(2)*M(nu, delta_k), M0} on the accepted curvature."""
-    if M0 <= 0:
-        raise ValueError("M0 must be positive")
+    check_number(M0, "M0", positive=True)
     return max(TWO_SQRT2 * holder_constant(nu, delta_k, M_nu), M0)
 
 
 def line_search_total_bound(nu, M_nu, M0, k, delta_k1):
     """A posteriori bound on Sum_{j<=k} i_j given the realized delta_{k+1}."""
+    check_number(M0, "M0", positive=True)
     ratio = holder_constant(nu, delta_k1, M_nu) / (M0 / TWO_SQRT2)
     return k + 1 + max(1.0, math.log2(ratio))
 
@@ -76,12 +77,10 @@ class DecayBoundSpec:
     Sigma: object
 
     def __post_init__(self):
-        if self.theta <= 1.0:
-            raise ValueError("theta must exceed 1")
-        if not 0.0 <= self.eta <= self.theta - 1.0:
-            raise ValueError("eta must lie in [0, theta - 1]")
-        if self.R < 0.0:
-            raise ValueError("R must be nonnegative")
+        if not self.theta > 1.0:
+            raise ValueError(f"theta must exceed 1, got {self.theta!r}")
+        check_number(self.eta, "eta", self.theta - 1.0)
+        check_number(self.R, "R")
 
 
 def envelope(spec, t):
@@ -96,11 +95,10 @@ def envelope(spec, t):
     The Y2 term is dropped when R = 0.  Constant factors are absorbed by
     the caller's fit.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    check_number(t, "t")
     S = float(spec.Sigma(t))
     phi = float(spec.varphi(t))
-    if S < 0 or phi <= 0:
+    if not (S >= 0 and phi > 0):
         raise ValueError("Sigma must be nonnegative and varphi positive")
     theta, eta, R = spec.theta, spec.eta, spec.R
     sqrt_phi = math.sqrt(phi)
@@ -122,8 +120,7 @@ def decay_spec_for_solver(nu, mu, gamma0, gamma_min, A_norm, M_nu):
     eta = nu / (1 + nu) and varphi(t) absorbs the 8 sqrt(2) factor of
     the discrete-to-continuous comparison.
     """
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    check_number(nu, "nu", 1)
     eta = nu / (1.0 + nu)
     power = (1.0 - nu) / (1.0 + nu)
     factor = 8.0 * math.sqrt(2.0) * M_nu ** (2.0 / (1.0 + nu))
@@ -154,10 +151,9 @@ def beta_rate_bound(nu, mu, gamma0, gamma_min, A_norm, M_nu, k):
     mu > 0, nu = 1:
         |A|^2 / (gamma_min k^2) + exp(-k sqrt(gamma_min / M_nu) / (8 sqrt(3)))
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    if not k >= 1:
+        raise ValueError(f"k must be at least 1, got {k!r}")
+    check_number(nu, "nu", 1)
     if mu == 0:
         return (A_norm / (math.sqrt(gamma0) * k)
                 + M_nu / (gamma0 ** ((1.0 + nu) / 2.0) * k ** ((1.0 + 3.0 * nu) / 2.0)))
@@ -193,7 +189,7 @@ def fit_rate(ks, values, k_min, k_max):
     trace's ``columns["k"]`` and ``columns["beta_k"]``.  The window must
     start at k >= 1 and its values must be positive.
     """
-    if k_min < 1:
+    if not k_min >= 1:
         raise ValueError(f"k_min must be at least 1, got {k_min}")
     ks, values = np.asarray(ks, dtype=float), np.asarray(values, dtype=float)
     window = (k_min <= ks) & (ks <= k_max)

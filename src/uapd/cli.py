@@ -13,7 +13,7 @@ instance, or a path to a JSON file holding either), an optional
 "fixed_tolerance", which needs a top-level ``eps``), and an ``output``
 file prefix (a non-empty string with no path separator or NUL).
 ``flow`` runs need a ``flow`` section with ``t_end`` and ``dt`` that
-give a grid :func:`uapd.flow.integrate` accepts;
+give a grid, and an instance, that :func:`uapd.flow.integrate` accepts;
 ``bounds`` accepts a ``bounds`` section (nu, M_nu, fit_window).  Any
 other top-level key exits 2.
 
@@ -41,7 +41,7 @@ from itertools import zip_longest
 
 from .analysis import (decay_spec_for_solver, envelope, fit_rate,
                        rate_bound_preconditions)
-from .flow import FlowGridError, integrate, trajectory_to_csv
+from .flow import integrate, trajectory_to_csv
 from .geometry import check_number
 from .problems import load_instance
 from .solver import SolverConfig, SolverError, solve, trace_to_csv
@@ -202,8 +202,8 @@ def cmd_flow(cfg, instance, config, out):
     try:
         trajectory = integrate(instance, t_end=float(section["t_end"]), dt=float(section["dt"]),
                                gamma0=config.gamma0)
-    except FlowGridError as exc:
-        raise ConfigError(f"bad flow section: {exc}") from exc
+    except ValueError as exc:  # a FlowGridError, or an instance the flow does not take
+        raise ConfigError(f"cannot integrate the flow: {exc}") from exc
     trajectory_to_csv(trajectory, instance, out("flow.csv"))
     return 0
 

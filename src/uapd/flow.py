@@ -143,12 +143,14 @@ def integrate(instance, t_end, dt, gamma0=None):
     and lam = 0.  Returns a :class:`Trajectory` with one point per grid
     time including t = 0, 8 (2n + m + 2) B per point: each new grid point
     is written into its row of the preallocated state array.
-    A bad grid (``dt`` or ``t_end`` not positive, no whole step, a step
-    count that is not finite or cannot be preallocated) raises
-    FlowGridError, a ValueError.  Domain exit raises FlowDomainError
-    carrying a copy of the last valid grid point and its time.  ``gamma0``
-    is checked and defaulted by ``SolverConfig``, as in the solver, so
-    both start from the same gamma.
+    An instance the flow does not take (not smooth, or no known saddle)
+    raises ValueError.  A bad grid (``dt`` or ``t_end`` not positive, no
+    whole step, a step count that is not finite or cannot be
+    preallocated) raises FlowGridError, a ValueError.  Domain exit, a
+    non-finite point included, raises FlowDomainError carrying a copy of
+    the last valid grid point and its time, and numpy warns of nothing
+    on the way.  ``gamma0`` is checked and defaulted by ``SolverConfig``,
+    as in the solver, so both start from the same gamma.
     """
     _check_smooth(instance)
     if instance.known_saddle is None:
@@ -165,26 +167,28 @@ def integrate(instance, t_end, dt, gamma0=None):
     z[:n], z[n:2 * n], z[2 * n:] = x, geom.grad(x), 0.0
     ts[0] = 0.0
     values[0] = flow_lyapunov(z, 0.0, instance, gamma0)
-    for step in range(n_steps):
-        t = step * dt
-        k = [_rhs(t, z, instance, gamma0)]
-        for c in (0.5 * dt, 0.5 * dt, dt):
-            point = z + c * k[-1]
-            if not _interior(geom, point[:n]):
-                raise FlowDomainError(f"iterate left the domain interior at t = {t + c:.6g}",
+    # quiet, as a point that overflows or turns NaN ends the run as FlowDomainError
+    with np.errstate(all="ignore"):
+        for step in range(n_steps):
+            t = step * dt
+            k = [_rhs(t, z, instance, gamma0)]
+            for c in (0.5 * dt, 0.5 * dt, dt):
+                point = z + c * k[-1]
+                if not _interior(geom, point[:n]):
+                    raise FlowDomainError(f"iterate left the domain interior at t = {t + c:.6g}",
+                                          z.copy(), t)
+                k.append(_rhs(t + c, point, instance, gamma0))
+            new = rows[step + 1]
+            np.add(z, (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), out=new)
+            t_new = (step + 1) * dt
+            if not _interior(geom, new[:n]):
+                raise FlowDomainError(f"iterate left the domain interior at t = {t_new:.6g}",
                                       z.copy(), t)
-            k.append(_rhs(t + c, point, instance, gamma0))
-        new = rows[step + 1]
-        np.add(z, (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), out=new)
-        t_new = (step + 1) * dt
-        if not _interior(geom, new[:n]):
-            raise FlowDomainError(f"iterate left the domain interior at t = {t_new:.6g}",
-                                  z.copy(), t)
-        if not np.isfinite(new).all():
-            raise FlowDomainError(f"non-finite state at t = {t_new:.6g}", z.copy(), t)
-        z = new
-        ts[step + 1] = t_new
-        values[step + 1] = flow_lyapunov(z, t_new, instance, gamma0)
+            if not np.isfinite(new).all():
+                raise FlowDomainError(f"non-finite state at t = {t_new:.6g}", z.copy(), t)
+            z = new
+            ts[step + 1] = t_new
+            values[step + 1] = flow_lyapunov(z, t_new, instance, gamma0)
     return trajectory
 
 

@@ -470,7 +470,9 @@ def _qp_oracle(c):
 
 
 def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
-    n = H.shape[0]
+    n, eigs = H.shape[0], np.linalg.eigvalsh(H)
+    # mu is h's strong-convexity modulus: at most lambda_min(H), up to rounding
+    check_number(mu, "mu", float(eigs[0] + 1e-12 * abs(eigs[-1])))
     instance = ProblemInstance(
         h_oracle=_qp_oracle(c),
         K=H.__matmul__,
@@ -480,7 +482,7 @@ def _assemble_synthetic_qp(H, c, A, b, saddle, mu, seed):
         b=b,
         mu=float(mu),
         known_saddle=saddle,
-        holder=(1.0, float(np.linalg.eigvalsh(H)[-1])),
+        holder=(1.0, float(eigs[-1])),
         metadata={"kind": "synthetic_qp", "m": A.shape[0], "n": n, "seed": seed,
                   "H": H, "c": c},
     )

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import time
 from array import array
-from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -165,35 +166,19 @@ class InnerResult:
     h_at_x: float
 
 
-@dataclass
-class IterationRecord:
-    """One trace row; lyapunov and f_residual stay None when unknown."""
-
-    k: int
-    objective: float
-    f_residual: float | None
-    feasibility: float
-    i_k: int
-    M_k: float
-    alpha_k: float
-    beta_k: float
-    gamma_k: float
-    delta_k: float
-    lyapunov: float | None
-    wall_time_s: float
-
-
 TRACE_COLUMNS = ("k", "f_residual", "feasibility", "i_k", "M_k", "alpha_k",
                  "beta_k", "delta_k", "lyapunov", "wall_time_s", "objective")
 
-_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+# One trace row: the CSV's columns, then gamma_k, which the trace keeps and
+# the CSV omits.  f_residual and lyapunov are None when unknown.
+IterationRecord = namedtuple("IterationRecord", TRACE_COLUMNS + ("gamma_k",))
 
 
 def _drop(value):
     """The append of an absent trace column."""
 
 
-class Trace(Sequence):
+class Trace:
     """The rows of a solve, stored as typed columns.
 
     ``columns`` maps a field of :class:`IterationRecord` to its column:
@@ -201,43 +186,41 @@ class Trace(Sequence):
     about 90 B per row.  The ``f_residual`` and ``lyapunov`` columns
     exist only when asked for (an instance with ``known_optimum`` or
     ``known_saddle``); otherwise every row reads None there.
-    ``trace[i]`` (negative too) builds the row when it is read, with
-    Python int and float values; a slice returns a list of rows.
+    ``trace[i]`` (an integer, negative too) and iteration build rows when
+    they are read, with Python int and float values.
     """
 
     def __init__(self, f_residual=True, lyapunov=True):
         kept = {"f_residual": f_residual, "lyapunov": lyapunov}
         self.columns = {name: array("q" if name in ("k", "i_k") else "d")
-                        for name in _RECORD_FIELDS if kept.get(name, True)}
-        self._ordered = [self.columns.get(name) for name in _RECORD_FIELDS]
+                        for name in IterationRecord._fields if kept.get(name, True)}
+        self._ordered = [self.columns.get(name) for name in IterationRecord._fields]
         self._appends = tuple(_drop if col is None else col.append for col in self._ordered)
 
-    def append(self, k, objective, f_residual, feasibility, i_k, M_k, alpha_k, beta_k,
-               gamma_k, delta_k, lyapunov, wall_time_s):
+    def append(self, k, f_residual, feasibility, i_k, M_k, alpha_k, beta_k, delta_k,
+               lyapunov, wall_time_s, objective, gamma_k):
         """Add one row; an absent column drops its value.  Unrolled: it runs every iteration."""
-        (push_k, push_objective, push_f_residual, push_feasibility, push_i_k, push_M_k,
-         push_alpha_k, push_beta_k, push_gamma_k, push_delta_k, push_lyapunov,
-         push_wall_time_s) = self._appends
+        (push_k, push_f_residual, push_feasibility, push_i_k, push_M_k, push_alpha_k,
+         push_beta_k, push_delta_k, push_lyapunov, push_wall_time_s, push_objective,
+         push_gamma_k) = self._appends
         push_k(k)
-        push_objective(objective)
         push_f_residual(f_residual)
         push_feasibility(feasibility)
         push_i_k(i_k)
         push_M_k(M_k)
         push_alpha_k(alpha_k)
         push_beta_k(beta_k)
-        push_gamma_k(gamma_k)
         push_delta_k(delta_k)
         push_lyapunov(lyapunov)
         push_wall_time_s(wall_time_s)
+        push_objective(objective)
+        push_gamma_k(gamma_k)
 
     def __len__(self):
         return len(self.columns["k"])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(IterationRecord, *(repeat(None) if col is None else col[index]
-                                               for col in self._ordered)))
+        index = operator.index(index)  # a slice is a TypeError, not a row of arrays
         return IterationRecord(*(None if col is None else col[index] for col in self._ordered))
 
     def __iter__(self):
@@ -377,8 +360,8 @@ def _record(trace, state, instance, i_k, wall, h_at_x, alpha, delta):
     lyap = None
     if instance.known_saddle is not None:
         lyap = instance.lyapunov(obj, residual, state.v, state.lam, state.gamma, state.beta)
-    trace.append(state.k, obj, f_res, feasibility, i_k, state.M, alpha, state.beta,
-                 state.gamma, delta, lyap, wall)
+    trace.append(state.k, f_res, feasibility, i_k, state.M, alpha, state.beta, delta, lyap,
+                 wall, obj, state.gamma)
     return feasibility, f_res
 
 

@@ -479,7 +479,11 @@ def bad_instance_documents():
                                ("basis_pursuit", "sparsity", 0),
                                ("basis_pursuit", "sparsity", 99),
                                ("basis_pursuit", "sparsity", "x"),
-                               ("basis_pursuit", "x_true", [1.0])):
+                               ("basis_pursuit", "x_true", [1.0]),
+                               # above lambda_min(H) = 0.5: not a modulus h has
+                               ("synthetic_qp", "mu", 5),
+                               ("synthetic_qp", "mu", 1e200),
+                               ("synthetic_qp", "mu", 1e308)):
         cases.append((f"{field}={value!r}", {**docs[kind], field: value}, field))
     # the wrong rank, type or length (QP n = 6, basis pursuit m = 4)
     for case, kind, field, value in (("P-1d", "matrix_game", "P", [1.0, 2.0]),

@@ -46,6 +46,18 @@ def test_holder_constant_rejects_bad_arguments():
         analysis.holder_constant(0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         analysis.holder_constant(0.5, 1.0, -2.0)
+    # NaN and wrong types raise ValueError naming the argument, here and in its callers
+    nan = float("nan")
+    for call, name in ((lambda: analysis.holder_constant(1, nan, 2), "delta"),
+                       (lambda: analysis.holder_constant(nan, 1.0, 2), "nu"),
+                       (lambda: analysis.holder_constant(1, 1.0, nan), "M_nu"),
+                       (lambda: analysis.holder_constant("1", 1.0, 2), "nu"),
+                       (lambda: analysis.mk_bound(1, 1, nan, 0.1), "M0"),
+                       (lambda: analysis.mk_bound(1, 1, "x", 0.1), "M0"),
+                       (lambda: analysis.mk_bound(1, 1, 1.0, nan), "delta"),
+                       (lambda: analysis.line_search_total_bound(0.0, 2.0, nan, 5, 0.1), "M0")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call()
 
 
 def test_mk_bound_takes_the_larger_branch():
@@ -88,6 +100,11 @@ def test_spec_validation():
         constant_spec(2.0, 1.2, 1.0)
     with pytest.raises(ValueError):
         constant_spec(2.0, 0.5, -1.0)
+    nan = float("nan")
+    for args, name in (((2.0, 0.5, nan), "R"), ((nan, 0.5, 1.0), "theta"),
+                       ((2.0, nan, 1.0), "eta"), ((2.0, 0.5, "x"), "R")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            constant_spec(*args)
 
 
 def test_envelope_at_zero_sums_both_terms():
@@ -123,6 +140,13 @@ def test_envelope_rejects_bad_evaluations():
     bad = analysis.DecayBoundSpec(theta=2.0, eta=0.5, R=1.0,
                                   varphi=lambda t: 1.0, Sigma=lambda t: -t)
     with pytest.raises(ValueError):
+        analysis.envelope(bad, 1.0)
+    for t in (float("nan"), float("inf"), "1"):
+        with pytest.raises(ValueError, match="^t "):
+            analysis.envelope(spec, t)
+    bad = analysis.DecayBoundSpec(theta=2.0, eta=0.5, R=1.0,
+                                  varphi=lambda t: 1.0, Sigma=lambda t: float("nan"))
+    with pytest.raises(ValueError, match="Sigma"):
         analysis.envelope(bad, 1.0)
 
 
@@ -219,6 +243,12 @@ def test_beta_rate_bound_rejects_bad_arguments():
         analysis.beta_rate_bound(1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0)
     with pytest.raises(ValueError):
         analysis.beta_rate_bound(2.0, 0.0, 1.0, 1.0, 1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="^k "):
+        analysis.beta_rate_bound(1.0, 0.0, 1.0, 1.0, 1.0, 1.0, float("nan"))
+    with pytest.raises(ValueError, match="^nu "):
+        analysis.beta_rate_bound(float("nan"), 0.0, 1.0, 1.0, 1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="^nu "):
+        analysis.decay_spec_for_solver(float("nan"), 0.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_rate_bound_preconditions():
@@ -257,7 +287,7 @@ def test_fit_rate_window_and_positivity_errors():
         analysis.fit_rate(*columns, 1, 19)
     # k = 0 has no logarithm: a window reaching below 1 is an error, not a dropped row
     columns = synthetic_columns(lambda k: 1.0 / (k + 1), range(0, 20))
-    for k_min in (0, -5):
+    for k_min in (0, -5, float("nan")):
         with pytest.raises(ValueError, match="k_min"):
             analysis.fit_rate(*columns, k_min, 10)
 

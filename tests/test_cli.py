@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from itertools import zip_longest
 
 import pytest
@@ -342,11 +343,25 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
     ("solve", {"instance": {"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 1e308, "seed": 12}}),
     ("solve", {"instance": {"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 0.5, "seed": 12,
                             "eig_spread": 1e308}}),
+    # smooth, but with no known saddle point for the flow's Lyapunov value
+    ("flow", {"instance": {"kind": "regularized_matrix_game", "m": 4, "n": 5, "seed": 1,
+                           "eps": 0.1},
+              "flow": {"t_end": 1.0, "dt": 0.1}}),
+    ("bounds", {"bounds": []}),
+    ("bounds", {"bounds": {"fit_window": [50, 10]}}),
+    ("bounds", {"bounds": {"fit_window": [500, 600]}, "solver": {"max_iterations": 200}}),
+    ("solve", {"instance": {"kind": "matrix_game", "m": 4, "n": 5, "seed": 1,
+                            "geometry": "foo"}}),
+    ("solve", {"instance": {"kind": "regularized_matrix_game", "m": 1, "n": 5, "seed": 1,
+                            "eps": 0.1}}),
+    ("solve", {"instance": {"kind": "synthetic_qp", "n": 3, "m": 3, "mu": 0.5, "seed": 1}}),
 ], ids=["fit_window_short", "fit_window_string", "max_iterations_string",
         "flow_dt_string", "flow_t_end_string", "eps_string", "recipe_field_not_read",
         "flow_dt_zero", "flow_t_end_negative", "flow_no_whole_step", "flow_step_count_overflow",
         "flow_grid_past_intp", "gap_target_without_optimum", "qp_mu_1e30", "qp_mu_1e308",
-        "qp_eig_spread_1e308"])
+        "qp_eig_spread_1e308", "flow_regularized_game", "bounds_list",
+        "fit_window_reversed", "fit_window_past_run", "game_geometry_unknown",
+        "regularized_game_one_column", "qp_m_equals_n"])
 def test_malformed_sections_exit_2_with_one_error_line(tmp_path, capsys, command,
                                                        overrides):
     cfg = write_config(tmp_path / "run.json", qp_config(**overrides))
@@ -394,8 +409,23 @@ def test_flow_command_rejects_nonsmooth_instances(tmp_path, capsys):
         tmp_path / "run.json",
         {"instance": {"kind": "matrix_game", "m": 4, "n": 5, "seed": 1},
          "flow": {"t_end": 1.0, "dt": 0.1}, "output": "bad"})
-    assert main(["flow", cfg, "--out", str(tmp_path)]) == 1
-    assert "differentiable" in capsys.readouterr().err
+    assert main(["flow", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "differentiable" in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("bad_*"))
+
+
+def test_flow_whose_gamma_rounds_to_zero_ends_in_one_line_and_no_warning(tmp_path, capsys):
+    # gamma(0) = mu + (gamma0 - mu) rounds to 0.0, and the first step divides by it
+    cfg = write_config(tmp_path / "run.json", qp_config(
+        instance={"kind": "synthetic_qp", "n": 8, "m": 3, "mu": 0.5, "seed": 1},
+        solver={"gamma0": 1e-300}, flow={"t_end": 1.0, "dt": 0.01}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["flow", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: iterate left the domain") and err.count("\n") == 1
+    assert not list(tmp_path.glob("smoke_*"))
 
 
 def test_bounds_command_overlays_envelope(tmp_path):

@@ -324,6 +324,18 @@ def test_instance_rejects_a_g_its_geometry_has_no_prox_for(geometry):
     make_matrix_game(3, 4, seed=0, geometry="euclidean")
 
 
+@pytest.mark.parametrize("A, b, match", [
+    (np.ones((2, 3)), None, "A and b must both be given"),
+    (np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2), "^A has non-finite entries$"),
+    (np.ones((2, 4)), np.zeros(2), "constraint dimensions do not match"),
+], ids=["A_without_b", "A_not_finite", "A_wrong_width"])
+def test_instance_rejects_bad_constraints(A, b, match):
+    # the constructor's own checks, which a document's field checks reach first
+    with pytest.raises(ValueError, match=match):
+        ProblemInstance(h_oracle=lambda x: (0.0, np.zeros(3)), g_spec="zero",
+                        geometry=EuclideanGeometry(3), A=A, b=b)
+
+
 @pytest.mark.parametrize("field", ["A", "b"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_instance_rejects_non_finite_constraint_data(field, bad):
@@ -550,7 +562,7 @@ def test_instance_to_dict_fields_per_kind(entry):
 
 def _replay(instance):
     _, trace = solve(instance, SolverConfig(max_iterations=25))
-    return [dataclasses.replace(r, wall_time_s=0.0) for r in trace]
+    return [r._replace(wall_time_s=0.0) for r in trace]
 
 
 @pytest.mark.parametrize("entry", DOCUMENTS, ids=lambda e: e["recipe"]["kind"])

@@ -7,7 +7,6 @@ import math
 import os
 import sys
 import tracemalloc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -126,7 +125,7 @@ def test_beta_recursion_and_monotone_m():
 def test_delta_follows_shrinking_policy():
     instance = make_synthetic_qp(7, 3, mu=0.0, seed=7)
     _, trace, _, _ = run(instance, 30)
-    for r in trace[1:]:
+    for r in list(trace)[1:]:
         assert r.delta_k == pytest.approx(r.beta_k / r.k, rel=1e-14)
 
 
@@ -134,7 +133,7 @@ def test_delta_fixed_tolerance_policy():
     instance = make_synthetic_qp(7, 3, mu=0.0, seed=7)
     config = SolverConfig(max_iterations=30)
     _, trace = solve(instance, config, fixed_eps=1e-2)
-    for r in trace[1:]:
+    for r in list(trace)[1:]:
         assert r.delta_k == pytest.approx(1e-2 / r.k, rel=1e-14)
 
 
@@ -238,7 +237,7 @@ def test_trace_rows_carry_the_accepted_trial(fixed_eps):
         _, trace, recorder, _ = run(instance, 15, fixed_eps=fixed_eps)
         assert trace[0].alpha_k == 0.0 and trace[0].delta_k == 0.0
         assert len(trace) == len(recorder.steps) + 1
-        for row, (k, _, accepted, _, _) in zip(trace[1:], recorder.steps):
+        for row, (k, _, accepted, _, _) in zip(list(trace)[1:], recorder.steps):
             assert row.k == k + 1
             assert (row.alpha_k, row.delta_k, row.M_k) == (accepted.alpha, accepted.delta,
                                                            accepted.M)
@@ -588,7 +587,7 @@ def test_gap_target_needs_a_known_optimum():
 # ---------------------------------------------------------------------------
 # trace storage and export
 
-RECORD_FIELDS = [f.name for f in dataclasses.fields(IterationRecord)]
+RECORD_FIELDS = IterationRecord._fields
 
 
 def traces_by_known_values():
@@ -601,7 +600,7 @@ def traces_by_known_values():
 
 def test_trace_rows_are_built_from_typed_columns():
     for trace, absent in traces_by_known_values():
-        assert isinstance(trace, Trace) and isinstance(trace, Sequence)
+        assert isinstance(trace, Trace)
         assert set(trace.columns) == set(RECORD_FIELDS) - absent
         assert {name: col.typecode for name, col in trace.columns.items()} == {
             name: "q" if name in ("k", "i_k") else "d" for name in trace.columns}
@@ -609,9 +608,8 @@ def test_trace_rows_are_built_from_typed_columns():
         assert len(trace) == len(rows) == 13
         assert [r.k for r in rows] == list(range(13))
         assert trace[-1] == trace[12] == rows[-1] and trace[-13] == rows[0]
-        for index in (slice(None), slice(1, None), slice(2, 9, 3), slice(None, None, -1),
-                      slice(-4, -1), slice(20, 30)):
-            assert trace[index] == rows[index] and isinstance(trace[index], list)
+        with pytest.raises(TypeError):
+            trace[1:]
         for index in (13, -14):
             with pytest.raises(IndexError):
                 trace[index]
@@ -620,7 +618,6 @@ def test_trace_rows_are_built_from_typed_columns():
                 want = (type(None) if name in absent
                         else int if name in ("k", "i_k") else float)
                 assert type(getattr(r, name)) is want, name
-        assert list(reversed(trace)) == rows[::-1] and trace.index(rows[5]) == 5
 
 
 def test_trace_memory_per_row():
@@ -641,8 +638,8 @@ def test_trace_csv_equals_row_wise_writer(tmp_path):
     special = Trace(f_residual=True, lyapunov=False)
     for k, value in enumerate((0.0, -0.0, float("inf"), float("-inf"), float("nan"),
                                5e-324, 1.7976931348623157e308, 0.1, -1e-300)):
-        special.append(k, value, -value, value, 2 ** 62 + k, value, value, value, value,
-                       value, None, value)
+        special.append(k, -value, value, 2 ** 62 + k, value, value, value, value, None, value,
+                       value, value)
     traces = [trace for trace, _ in traces_by_known_values()] + [special]
     for i, trace in enumerate(traces):
         got, want = tmp_path / f"columns{i}.csv", tmp_path / f"rows{i}.csv"
