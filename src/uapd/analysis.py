@@ -58,6 +58,7 @@ def mk_bound(nu, M_nu, M0, delta_k):
 def line_search_total_bound(nu, M_nu, M0, k, delta_k1):
     """A posteriori bound on Sum_{j<=k} i_j given the realized delta_{k+1}."""
     check_number(M0, "M0", positive=True)
+    check_number(k, "k")
     ratio = holder_constant(nu, delta_k1, M_nu) / (M0 / TWO_SQRT2)
     return k + 1 + max(1.0, math.log2(ratio))
 
@@ -112,6 +113,26 @@ def envelope(spec, t):
     return y2 + y3
 
 
+def _check_run(nu, mu, A_norm, M_nu, **positive):
+    """ValueError naming the first bad constant: nu in [0, 1], mu, A_norm >= 0, the rest > 0."""
+    check_number(nu, "nu", 1)
+    check_number(mu, "mu")
+    check_number(A_norm, "A_norm")
+    for name, value in {"M_nu": M_nu, **positive}.items():
+        check_number(value, name, positive=True)
+
+
+def _curvature_scale(nu, M_nu):
+    """M_nu^(2/(1+nu)), or ValueError naming M_nu when that leaves the positive floats."""
+    try:
+        scale = M_nu ** (2.0 / (1.0 + nu))  # a float overflow raises, an underflow gives 0
+    except OverflowError:
+        scale = 0.0
+    if scale == 0.0:
+        raise ValueError(f"M_nu = {M_nu!r} at nu = {nu!r} puts M_nu^(2/(1+nu)) outside the floats")
+    return scale
+
+
 def decay_spec_for_solver(nu, mu, gamma0, gamma_min, A_norm, M_nu):
     """Map a solver run onto the differential-inequality parameters.
 
@@ -120,10 +141,10 @@ def decay_spec_for_solver(nu, mu, gamma0, gamma_min, A_norm, M_nu):
     eta = nu / (1 + nu) and varphi(t) absorbs the 8 sqrt(2) factor of
     the discrete-to-continuous comparison.
     """
-    check_number(nu, "nu", 1)
+    _check_run(nu, mu, A_norm, M_nu, gamma0=gamma0, gamma_min=gamma_min)
+    factor = 8.0 * math.sqrt(2.0) * _curvature_scale(nu, M_nu)
     eta = nu / (1.0 + nu)
     power = (1.0 - nu) / (1.0 + nu)
-    factor = 8.0 * math.sqrt(2.0) * M_nu ** (2.0 / (1.0 + nu))
 
     def varphi(t):
         return factor * (t + 1.0) ** power
@@ -151,9 +172,9 @@ def beta_rate_bound(nu, mu, gamma0, gamma_min, A_norm, M_nu, k):
     mu > 0, nu = 1:
         |A|^2 / (gamma_min k^2) + exp(-k sqrt(gamma_min / M_nu) / (8 sqrt(3)))
     """
-    if not k >= 1:
+    _check_run(nu, mu, A_norm, M_nu, gamma0=gamma0, gamma_min=gamma_min)
+    if check_number(k, "k") < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
-    check_number(nu, "nu", 1)
     if mu == 0:
         return (A_norm / (math.sqrt(gamma0) * k)
                 + M_nu / (gamma0 ** ((1.0 + nu) / 2.0) * k ** ((1.0 + 3.0 * nu) / 2.0)))
@@ -172,8 +193,9 @@ def rate_bound_preconditions(nu, mu, gamma0, A_norm, M_nu, M0):
     Returns a list of human-readable violations, empty when all hold:
     M0 <= M_nu^(2/(1+nu)) and max(gamma0, mu) <= |A|^2.
     """
+    _check_run(nu, mu, A_norm, M_nu, gamma0=gamma0, M0=M0)
+    cap = _curvature_scale(nu, M_nu)
     issues = []
-    cap = M_nu ** (2.0 / (1.0 + nu))
     if M0 > cap:
         issues.append(f"M0 = {M0:g} exceeds M_nu^(2/(1+nu)) = {cap:g}")
     if max(gamma0, mu) > A_norm ** 2:

@@ -25,9 +25,10 @@ Every CSV is written by the csv module in its default dialect (CRLF
 line ends, UTF-8, a header row, None as an empty cell, floats by repr)
 and every summary by one JSON writer.  With a fixed seed the CSVs are
 reproducible byte for byte except for the wall-clock column, whose
-last value each summary reports as ``wall_time_s``.  A bad config, an
-unreadable config or instance file and an unusable ``--out`` exit 2
-with one ``error:`` line.
+last value each summary reports as ``wall_time_s``.  Bad input (a bad
+config, an unreadable file, an unusable ``--out``) raises ValueError
+and exits 2; a failed run raises a RuntimeError (SolverError,
+FlowDomainError) and exits 1; either prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -44,29 +45,24 @@ from .analysis import (decay_spec_for_solver, envelope, fit_rate,
 from .flow import integrate, trajectory_to_csv
 from .geometry import check_number
 from .problems import load_instance
-from .solver import SolverConfig, SolverError, solve, trace_to_csv
+from .solver import SolverConfig, solve, trace_to_csv
 
-__all__ = ["main", "ConfigError", "cmd_solve", "cmd_compare", "cmd_flow", "cmd_bounds"]
-
-
-class ConfigError(Exception):
-    """Malformed or incomplete run configuration (exit code 2)."""
-
+__all__ = ["main", "cmd_solve", "cmd_compare", "cmd_flow", "cmd_bounds"]
 
 # the top-level config keys some command reads
 _CONFIG_KEYS = {"instance", "solver", "variant", "eps", "output", "flow", "bounds"}
 
 
 def _load_json(path):
-    try:
+    try:  # an OSError is not a ValueError
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
+        raise ValueError(f"file not found: {path}") from None
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path, summary):
@@ -82,61 +78,45 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _require(cfg, field):
-    if field not in cfg:
-        raise ConfigError(f"config is missing the field '{field}'")
-    return cfg[field]
-
-
-def _number(value, name, *args, **kwargs):
-    """``value`` if :func:`check_number` accepts it, else ConfigError naming ``'name'``."""
-    try:
-        return check_number(value, f"'{name}'", *args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _require(section, field, where=""):
+    """``section[field]``; ValueError naming ``where + field`` when it is absent."""
+    if field not in section:
+        raise ValueError(f"config is missing the field '{where}{field}'")
+    return section[field]
 
 
 def _resolve_instance(spec, base_dir):
     if isinstance(spec, str):
         spec = _load_json(os.path.join(base_dir, spec))
     if not isinstance(spec, dict):
-        raise ConfigError("'instance' must be a dict or a path string")
+        raise ValueError("'instance' must be a dict or a path string")
     try:
         return load_instance(spec)
-    except (ValueError, KeyError, TypeError, MemoryError) as exc:
-        raise ConfigError(f"bad instance description: {exc}") from exc
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"bad instance description: {exc}") from exc
 
 
 def _solver_config(cfg, instance):
     """The ``solver`` section as a SolverConfig resolved against ``instance``."""
     section = cfg.get("solver", {})
     if not isinstance(section, dict):
-        raise ConfigError("'solver' must be a dict of SolverConfig fields")
+        raise ValueError("'solver' must be a dict of SolverConfig fields")
     unknown = set(section) - set(SolverConfig.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"unknown solver fields {sorted(unknown)}")
-    try:
-        return SolverConfig(**section).resolved(instance)
-    except ValueError as exc:
-        raise ConfigError(f"bad solver section: {exc}") from exc
-
-
-def _fixed_eps(eps):
-    """``eps`` of the fixed_tolerance variant as a positive float, else ConfigError."""
-    if eps is None:
-        raise ConfigError("config is missing the field 'eps' "
-                          "(required by the fixed_tolerance variant)")
-    return float(_number(eps, "eps", positive=True))
+        raise ValueError(f"unknown solver fields {sorted(unknown)}")
+    return SolverConfig(**section).resolved(instance)
 
 
 def _variant(cfg):
-    """``solve``'s ``fixed_eps`` for the configured variant: None for "uapd"."""
+    """``fixed_eps`` for the configured variant: None for "uapd", which still checks an eps."""
     name, eps = cfg.get("variant", "uapd"), cfg.get("eps")
-    if eps is not None:
-        _number(eps, "eps", positive=True)
     if name not in ("uapd", "fixed_tolerance"):
-        raise ConfigError(f"unknown variant {name!r} (expected 'uapd' or 'fixed_tolerance')")
-    return None if name == "uapd" else _fixed_eps(eps)
+        raise ValueError(f"unknown variant {name!r} (expected 'uapd' or 'fixed_tolerance')")
+    if eps is None and name == "fixed_tolerance":
+        raise ValueError("config is missing the field 'eps' "
+                         "(required by the fixed_tolerance variant)")
+    eps = None if eps is None else float(check_number(eps, "'eps'", positive=True))
+    return None if name == "uapd" else eps
 
 
 def _summary(cfg, instance, state, trace, eps):
@@ -169,7 +149,7 @@ def cmd_solve(cfg, instance, config, out):
 
 
 def cmd_compare(cfg, instance, config, out):
-    eps = _fixed_eps(cfg.get("eps", 1e-3))
+    eps = float(check_number(cfg.get("eps", 1e-3), "'eps'", positive=True))
     state_u, trace_u = solve(instance, config)
     state_b, trace_b = solve(instance, config, fixed_eps=eps)
     cols_u, cols_b = trace_u.columns, trace_b.columns
@@ -194,16 +174,9 @@ def cmd_compare(cfg, instance, config, out):
 def cmd_flow(cfg, instance, config, out):
     section = _require(cfg, "flow")
     if not isinstance(section, dict):
-        raise ConfigError("'flow' must be a dict with 't_end' and 'dt'")
-    for field in ("t_end", "dt"):
-        if field not in section:
-            raise ConfigError(f"config is missing the field 'flow.{field}'")
-        _number(section[field], f"flow.{field}", positive=True)
-    try:
-        trajectory = integrate(instance, t_end=float(section["t_end"]), dt=float(section["dt"]),
-                               gamma0=config.gamma0)
-    except ValueError as exc:  # a FlowGridError, or an instance the flow does not take
-        raise ConfigError(f"cannot integrate the flow: {exc}") from exc
+        raise ValueError("'flow' must be a dict with 't_end' and 'dt'")
+    trajectory = integrate(instance, t_end=_require(section, "t_end", "flow."),
+                           dt=_require(section, "dt", "flow."), gamma0=config.gamma0)
     trajectory_to_csv(trajectory, instance, out("flow.csv"))
     return 0
 
@@ -211,38 +184,39 @@ def cmd_flow(cfg, instance, config, out):
 def cmd_bounds(cfg, instance, config, out):
     section = cfg.get("bounds", {})
     if not isinstance(section, dict):
-        raise ConfigError("'bounds' must be a dict")
+        raise ValueError("'bounds' must be a dict")
     # nu and M_nu default to the instance's Hoelder certificate, nu = 0 and
     # no M_nu without one; the certificate's constant holds at its nu only
     nu, m_nu = instance.holder or (0.0, None)
-    if _number(section.get("nu", nu), "bounds.nu", 1) != nu:
+    if check_number(section.get("nu", nu), "'bounds.nu'", 1) != nu:
         nu, m_nu = float(section["nu"]), None
     m_nu = section.get("M_nu", m_nu)
     if m_nu is None:
-        raise ConfigError(f"config is missing the field 'bounds.M_nu' (the instance "
-                          f"certifies no Hoelder constant at nu = {nu!r})")
-    m_nu = float(_number(m_nu, "bounds.M_nu", positive=True))
+        raise ValueError(f"config is missing the field 'bounds.M_nu' (the instance "
+                         f"certifies no Hoelder constant at nu = {nu!r})")
+    m_nu = float(check_number(m_nu, "'bounds.M_nu'", positive=True))
     window = section.get("fit_window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2):
-            raise ConfigError(f"'bounds.fit_window' must be [k_lo, k_hi], got {window!r}")
-        window = [_number(k, "bounds.fit_window", positive=True, integer=True) for k in window]
+            raise ValueError(f"'bounds.fit_window' must be [k_lo, k_hi], got {window!r}")
+        window = [check_number(k, "'bounds.fit_window'", positive=True, integer=True)
+                  for k in window]
         if not 1 <= window[0] <= window[1]:
-            raise ConfigError(f"'bounds.fit_window' must have 1 <= k_lo <= k_hi, got {window!r}")
+            raise ValueError(f"'bounds.fit_window' must have 1 <= k_lo <= k_hi, got {window!r}")
 
-    _, trace = solve(instance, config)
     gamma0, mu = config.gamma0, instance.mu
     gamma_min = min(gamma0, mu) if mu > 0 else gamma0
     spec = decay_spec_for_solver(nu, mu, gamma0, gamma_min, instance.a_norm, m_nu)
+    _, trace = solve(instance, config)
     ks, betas = trace.columns["k"], trace.columns["beta_k"]
     k_lo, k_hi = window or (10, min(100, ks[-1]))
     raw = [envelope(spec, k) for k in ks]
     fits = [beta / env for k, beta, env in zip(ks, betas, raw) if k_lo <= k <= k_hi]
     if not fits:
         if window is None:
-            raise ConfigError(f"the default fit_window [10, 100] needs at least 10 iterations, "
-                              f"the run made {ks[-1]}")
-        raise ConfigError(f"fit_window [{k_lo}, {k_hi}] selects no iterations")
+            raise ValueError(f"the default fit_window [10, 100] needs at least 10 iterations, "
+                             f"the run made {ks[-1]}")
+        raise ValueError(f"fit_window [{k_lo}, {k_hi}] selects no iterations")
     scale = max(fits)
     _write_csv(out("bounds.csv"), ("k", "beta", "envelope"),
                zip(ks, betas, [scale * env for env in raw]))
@@ -289,29 +263,29 @@ def main(argv=None):
     try:
         cfg = _load_json(args.config)
         if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise ValueError("config root must be a JSON object")
         unknown = set(cfg) - _CONFIG_KEYS
         if unknown:
-            raise ConfigError(f"unknown config fields {sorted(unknown)}")
+            raise ValueError(f"unknown config fields {sorted(unknown)}")
         prefix = cfg.get("output", "run")
         if not (isinstance(prefix, str) and prefix and os.path.basename(prefix) == prefix
                 and "\0" not in prefix):
-            raise ConfigError(f"'output' must be a non-empty file name prefix with no path "
-                              f"separator or NUL, got {prefix!r}")
+            raise ValueError(f"'output' must be a non-empty file name prefix with no path "
+                             f"separator or NUL, got {prefix!r}")
         base_dir = os.path.dirname(os.path.abspath(args.config))
         instance = _resolve_instance(_require(cfg, "instance"), base_dir)
         config = _solver_config(cfg, instance)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"--out {args.out} is not a usable directory: "
-                              f"{exc.strerror}") from exc
+            raise ValueError(f"--out {args.out} is not a usable directory: "
+                             f"{exc.strerror}") from exc
         return _COMMANDS[args.command](
             cfg, instance, config, lambda suffix: os.path.join(args.out, f"{prefix}_{suffix}"))
-    except ConfigError as exc:
+    except ValueError as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:  # a failed run: SolverError, FlowDomainError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,10 +30,11 @@ import math
 
 import numpy as np
 
+from .geometry import check_number
 from .solver import SolverConfig
 
-__all__ = ["FlowDomainError", "FlowGridError", "Trajectory", "gamma_of",
-           "beta_of", "flow_lyapunov", "integrate", "trajectory_to_csv"]
+__all__ = ["FlowDomainError", "Trajectory", "gamma_of", "beta_of", "flow_lyapunov",
+           "integrate", "trajectory_to_csv"]
 
 
 class FlowDomainError(RuntimeError):
@@ -43,10 +44,6 @@ class FlowDomainError(RuntimeError):
         super().__init__(message)
         self.state = state
         self.t = t
-
-
-class FlowGridError(ValueError):
-    """``t_end`` and ``dt`` give no grid that can be stepped and stored."""
 
 
 class Trajectory:
@@ -63,7 +60,7 @@ class Trajectory:
             self.t = np.empty(points)
             self.lyapunov = np.empty(points)
         except (ValueError, MemoryError) as exc:
-            raise FlowGridError(f"cannot preallocate a flow grid of {points} points") from exc
+            raise ValueError(f"cannot preallocate a flow grid of {points} points") from exc
 
     def __len__(self):
         return len(self.t)
@@ -75,12 +72,6 @@ def gamma_of(t, mu, gamma0):
 
 def beta_of(t):
     return math.exp(-t)
-
-
-def _check_smooth(instance):
-    if instance.holder is None or instance.holder[0] != 1.0 or instance.g_spec != "zero":
-        raise ValueError("flow integration requires a differentiable objective (a holder "
-                         "certificate with nu = 1) with no nonsmooth term")
 
 
 def _interior(geometry, x):
@@ -124,15 +115,15 @@ def flow_lyapunov(z, t, instance, gamma0):
 
 
 def _grid_steps(t_end, dt):
-    """The number of dt steps that cover [0, t_end]; FlowGridError when there is none."""
-    if not (dt > 0 and t_end > 0):
-        raise FlowGridError("dt and t_end must be positive")
+    """The number of dt steps that cover [0, t_end]; ValueError when there is none."""
+    check_number(t_end, "t_end", positive=True)
+    check_number(dt, "dt", positive=True)
     ratio = t_end / dt
     if not math.isfinite(ratio):
-        raise FlowGridError(f"t_end / dt = {t_end!r} / {dt!r} is not a finite step count")
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} is not a finite step count")
     n_steps = round(ratio)
     if n_steps < 1:
-        raise FlowGridError("t_end must cover at least one step")
+        raise ValueError("t_end must cover at least one step")
     return n_steps
 
 
@@ -143,16 +134,18 @@ def integrate(instance, t_end, dt, gamma0=None):
     and lam = 0.  Returns a :class:`Trajectory` with one point per grid
     time including t = 0, 8 (2n + m + 2) B per point: each new grid point
     is written into its row of the preallocated state array.
-    An instance the flow does not take (not smooth, or no known saddle)
-    raises ValueError.  A bad grid (``dt`` or ``t_end`` not positive, no
-    whole step, a step count that is not finite or cannot be
-    preallocated) raises FlowGridError, a ValueError.  Domain exit, a
-    non-finite point included, raises FlowDomainError carrying a copy of
-    the last valid grid point and its time, and numpy warns of nothing
-    on the way.  ``gamma0`` is checked and defaulted by ``SolverConfig``,
-    as in the solver, so both start from the same gamma.
+    Bad input raises ValueError: an instance the flow does not take (not
+    smooth, or no known saddle) or a bad grid (``dt`` or ``t_end`` not a
+    positive finite number, no whole step, a step count that is not
+    finite or cannot be preallocated).  A run that leaves the domain, a
+    non-finite point included, raises FlowDomainError, a RuntimeError,
+    carrying a copy of the last valid grid point and its time; numpy
+    warns of nothing on the way.  ``gamma0`` is checked and defaulted by
+    ``SolverConfig``, as in the solver, so both start from the same gamma.
     """
-    _check_smooth(instance)
+    if instance.holder is None or instance.holder[0] != 1.0 or instance.g_spec != "zero":
+        raise ValueError("flow integration requires a differentiable objective (a holder "
+                         "certificate with nu = 1) with no nonsmooth term")
     if instance.known_saddle is None:
         raise ValueError("flow integration needs instance.known_saddle")
     n_steps = _grid_steps(t_end, dt)

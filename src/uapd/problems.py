@@ -248,8 +248,9 @@ class InstanceRecipe:
     @classmethod
     def from_dict(cls, d):
         """Recipe from a dict; a field its kind does not read must be absent or default."""
-        if "kind" not in d:
-            raise ValueError("recipe is missing the field 'kind'")
+        for name in ("kind", "m", "n", "seed"):
+            if name not in d:
+                raise ValueError(f"recipe is missing the field '{name}'")
         fields = cls.__dataclass_fields__
         unknown = set(d) - set(fields)
         if unknown:
@@ -578,7 +579,7 @@ _KINDS = {
 
 def _kind(kind):
     """The table row of ``kind``, or ValueError naming the unknown kind."""
-    if kind not in _KINDS:
+    if not (isinstance(kind, str) and kind in _KINDS):
         raise ValueError(f"unknown instance kind {kind!r}")
     return _KINDS[kind]
 

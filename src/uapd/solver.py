@@ -259,12 +259,18 @@ def inner_step(state, M_trial, instance, fixed_eps=None):
 
     ``fixed_eps`` switches the tolerance from
     beta_{k+1} / (k+1) to eps / (k+1).  Raises
-    :class:`SolverError` when h(y) or the prox's linear term is
-    non-finite, or when h(x_{k+1}) - model is; a non-finite prox output
-    or h(x_{k+1}) always makes that difference non-finite.
+    :class:`SolverError` when alpha or gamma / alpha divides by zero,
+    when h(y), the prox's linear term or h(x_{k+1}) - model is
+    non-finite, or when the prox refuses its input; a non-finite prox
+    output or h(x_{k+1}) always makes that difference non-finite.
     """
     beta, gamma = state.beta, state.gamma
-    alpha = math.sqrt(beta * gamma) / math.sqrt(beta * M_trial + instance.a_norm ** 2)
+    try:  # beta * M_trial and beta * gamma can underflow to 0
+        alpha = math.sqrt(beta * gamma) / math.sqrt(beta * M_trial + instance.a_norm ** 2)
+        rho = gamma / alpha
+    except ZeroDivisionError:
+        raise SolverError(f"step size underflow at iteration {state.k} "
+                          f"(M = {M_trial:g})") from None
     beta_new = beta / (1.0 + alpha)
     delta = (beta_new if fixed_eps is None else fixed_eps) / (state.k + 1)
 
@@ -286,8 +292,11 @@ def inner_step(state, M_trial, instance, fixed_eps=None):
 
     # unchecked: the anchors are prox outputs or their convex combinations, and
     # the instance checked at construction that the geometry's prox solves its g
-    v_lift = instance.lift(instance.geometry._prox(c, y, instance.mu, state.v, gamma / alpha,
-                                                   instance.g_spec))
+    try:  # the prox divides c by mu + rho, which can overflow
+        v_lift = instance.lift(instance.geometry._prox(c, y, instance.mu, state.v, rho,
+                                                       instance.g_spec))
+    except ValueError as exc:
+        raise SolverError(f"prox {exc} at iteration {state.k} (M = {M_trial:g})") from None
     x_lift = _average(state.x_lift, v_lift, alpha)
     x_new = x_lift[instance.x_block]
     d = x_new - y

@@ -55,7 +55,8 @@ def test_holder_constant_rejects_bad_arguments():
                        (lambda: analysis.mk_bound(1, 1, nan, 0.1), "M0"),
                        (lambda: analysis.mk_bound(1, 1, "x", 0.1), "M0"),
                        (lambda: analysis.mk_bound(1, 1, 1.0, nan), "delta"),
-                       (lambda: analysis.line_search_total_bound(0.0, 2.0, nan, 5, 0.1), "M0")):
+                       (lambda: analysis.line_search_total_bound(0.0, 2.0, nan, 5, 0.1), "M0"),
+                       (lambda: analysis.line_search_total_bound(0.0, 2.0, 1.0, nan, 0.1), "k")):
         with pytest.raises(ValueError, match=f"^{name} "):
             call()
 
@@ -249,6 +250,23 @@ def test_beta_rate_bound_rejects_bad_arguments():
         analysis.beta_rate_bound(float("nan"), 0.0, 1.0, 1.0, 1.0, 1.0, 5)
     with pytest.raises(ValueError, match="^nu "):
         analysis.decay_spec_for_solver(float("nan"), 0.0, 1.0, 1.0, 1.0, 1.0)
+    # every constant of the run is checked and named, NaN included
+    nan = float("nan")
+    for call, name in (
+            (lambda: analysis.beta_rate_bound(1.0, nan, 1.0, 1.0, 1.0, 1.0, 5), "mu"),
+            (lambda: analysis.beta_rate_bound(1.0, 0.5, 1.0, nan, 1.0, 1.0, 5), "gamma_min"),
+            (lambda: analysis.beta_rate_bound(1.0, 0.0, "1", 1.0, 1.0, 1.0, 5), "gamma0"),
+            (lambda: analysis.beta_rate_bound(1.0, 0.0, 1.0, 1.0, -1.0, 1.0, 5), "A_norm"),
+            (lambda: analysis.rate_bound_preconditions(1.0, nan, 1.0, 1.0, 2.0, 1.0), "mu"),
+            (lambda: analysis.rate_bound_preconditions(1.0, 0.5, 1.0, 1.0, nan, nan), "M_nu"),
+            (lambda: analysis.rate_bound_preconditions(1.0, 0.5, 1.0, 1.0, 2.0, nan), "M0"),
+            (lambda: analysis.decay_spec_for_solver(1.0, 0.5, 1.0, nan, 1.0, 1.0), "gamma_min"),
+            # M_nu^(2/(1+nu)) underflows to 0, or overflows
+            (lambda: analysis.decay_spec_for_solver(0.5, 0.0, 1.0, 1.0, 1.0, 1e-300), "M_nu"),
+            (lambda: analysis.decay_spec_for_solver(0.0, 0.0, 1.0, 1.0, 1.0, 1e200), "M_nu"),
+            (lambda: analysis.rate_bound_preconditions(0.0, 0.0, 1.0, 1.0, 1e200, 1.0), "M_nu")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call()
 
 
 def test_rate_bound_preconditions():

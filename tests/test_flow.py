@@ -129,13 +129,17 @@ def test_integrate_argument_validation():
         flow.integrate(qp, t_end=0.0, dt=0.1)
     with pytest.raises(ValueError):
         flow.integrate(qp, t_end=1.0, dt=-0.1)
-    with pytest.raises(flow.FlowGridError, match="at least one step"):
+    with pytest.raises(ValueError, match="at least one step"):
         flow.integrate(qp, t_end=0.1, dt=1.0)
-    with pytest.raises(flow.FlowGridError, match="not a finite step count"):
+    with pytest.raises(ValueError, match="not a finite step count"):
         flow.integrate(qp, t_end=1e300, dt=1e-300)
     # past numpy's intp range, so refused before anything is allocated
-    with pytest.raises(flow.FlowGridError, match=f"{round(1e30) + 1} points"):
+    with pytest.raises(ValueError, match=f"{round(1e30) + 1} points"):
         flow.integrate(qp, t_end=1e30, dt=1.0)
+    # the grid's numbers are checked by type before their range, naming the argument
+    for t_end, dt, name in (("1", 0.1, "t_end"), (1.0, None, "dt"), (True, 0.1, "t_end")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            flow.integrate(qp, t_end=t_end, dt=dt)
     anon = ProblemInstance(
         h_oracle=lambda x: (float(np.dot(x, x)), 2.0 * x), g_spec="zero",
         geometry=problems.make_synthetic_qp(3, 1, mu=0.0, seed=0).geometry.__class__(3),

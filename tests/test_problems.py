@@ -491,6 +491,14 @@ def test_recipe_rejects_bad_input():
     for d, name in zip(unread, ("mu", "geometry")):
         with pytest.raises(ValueError, match=f"'{name}'.* not read"):
             InstanceRecipe.from_dict(d)
+    # JSON-shaped input: a kind that is not a string, a required field left out
+    with pytest.raises(ValueError, match=r"unknown instance kind \['a'\]"):
+        load_instance({"kind": ["a"]})
+    for name in ("m", "n", "seed"):
+        d = {"kind": "steiner", "m": 3, "n": 4, "seed": 0}
+        del d[name]
+        with pytest.raises(ValueError, match=f"recipe is missing the field '{name}'"):
+            InstanceRecipe.from_dict(d)
 
 
 def test_same_seed_reproduces_instance():

@@ -302,6 +302,12 @@ def run_mutated(source, field, value):
 @example(("qp_flow", "instance.mu", 1e308))
 @example(("qp_bounds", "instance.eig_spread", 1e308))
 @example(("game_solve", "solver.max_iterations", 10 ** 400))
+# valid runs that fail with SolverError: a step size whose beta * M underflows
+# to 0, and a prox whose input overflows
+@example(("game_euclidean_solve", "solver", {"gamma0": 1e300, "M0": 1e-300}))
+@example(("basis_pursuit_solve", "solver.gamma0", 1e-300))
+# an M_nu whose power M_nu^(2/(1+nu)) underflows to 0 is bad input
+@example(("qp_bounds", "bounds", {"nu": 0.5, "M_nu": 1e-300}))
 def test_one_bad_number_exits_cleanly(case):
     code, err, written, seen = run_mutated(*case)
     lines = err.splitlines()
@@ -312,7 +318,7 @@ def test_one_bad_number_exits_cleanly(case):
         assert err == "", (case, err)
     if code == 1:  # only a valid instance whose solve fails
         assert seen and isinstance(seen[-1], SolverError), (case, err)
-    if code == 2:
+    if code:  # bad input and a failed run both write nothing
         assert written == [], (case, written)
     if case[1] == "solver.max_iterations" and case[2] == 10 ** 400:
         assert code == 0 and seen[0] == 10 ** 400  # valid: the solve gets it as given

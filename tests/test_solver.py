@@ -332,6 +332,28 @@ def test_non_finite_oracle_raises_solver_error():
             assert not isinstance(err.value, LineSearchError)
 
 
+# valid runs whose numbers leave the floats: a step size whose beta * M underflows to
+# 0, and a prox whose input c / (mu + rho) overflows
+FAILING_RUNS = [
+    (lambda: make_matrix_game(4, 5, seed=1, geometry="euclidean"),
+     SolverConfig(gamma0=1e300, M0=1e-300), "step size underflow at iteration 1 "),
+    (lambda: make_basis_pursuit(5, 12, seed=1, sparsity=2), SolverConfig(gamma0=1e-300),
+     "prox non-finite input at iteration 0 "),
+    (lambda: make_basis_pursuit(5, 12, seed=1, sparsity=2), SolverConfig(gamma0=1e-150),
+     "prox non-finite input at iteration 0 "),
+    (lambda: make_matrix_game(4, 5, seed=1, geometry="euclidean"), SolverConfig(M0=1e-300),
+     "prox non-finite input at iteration 0 "),
+]
+
+
+@pytest.mark.parametrize("make, config, message", FAILING_RUNS,
+                         ids=["underflow", "prox-1e-300", "prox-1e-150", "game-prox"])
+def test_numbers_that_leave_the_floats_raise_solver_error(make, config, message):
+    with pytest.raises(SolverError, match=f"^{message}") as err:
+        solve(make(), config)
+    assert not isinstance(err.value, LineSearchError)
+
+
 @pytest.mark.parametrize("instance", [make_matrix_game(5, 8, seed=5),
                                       make_basis_pursuit(5, 12, seed=2, sparsity=2),
                                       make_synthetic_qp(7, 3, mu=0.0, seed=3)],
