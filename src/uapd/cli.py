@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from itertools import zip_longest
@@ -211,13 +212,16 @@ def cmd_bounds(cfg, instance, config, out):
     ks, betas = trace.columns["k"], trace.columns["beta_k"]
     k_lo, k_hi = window or (10, min(100, ks[-1]))
     raw = [envelope(spec, k) for k in ks]
-    fits = [beta / env for k, beta, env in zip(ks, betas, raw) if k_lo <= k <= k_hi]
-    if not fits:
+    fitted = [(beta, env) for k, beta, env in zip(ks, betas, raw) if k_lo <= k <= k_hi]
+    if not fitted:
         if window is None:
             raise ValueError(f"the default fit_window [10, 100] needs at least 10 iterations, "
                              f"the run made {ks[-1]}")
         raise ValueError(f"fit_window [{k_lo}, {k_hi}] selects no iterations")
-    scale = max(fits)
+    if not all(0.0 < env < math.inf for _, env in fitted):  # it underflows at extreme M_nu
+        raise ValueError(f"'bounds.M_nu' = {m_nu!r} gives an envelope that is not positive "
+                         f"and finite in the fit window [{k_lo}, {k_hi}]")
+    scale = max(beta / env for beta, env in fitted)
     _write_csv(out("bounds.csv"), ("k", "beta", "envelope"),
                zip(ks, betas, [scale * env for env in raw]))
 

@@ -11,6 +11,9 @@ mirror maps, a reference starting point and the composite prox
 
 which every geometry solves in closed form for each g that its
 ``nonsmooth`` attribute names; ``ProblemInstance`` checks g against it.
+Only ``contains`` checks its argument: the other methods take the
+float vectors of the domain that the library builds, and outside data
+is checked once, where ``ProblemInstance`` takes it.
 
 A Euclidean threshold call (simplex projection, squared-l1 prox) costs
 one in-place sort of the negated vector and one forward accumulate, on
@@ -59,13 +62,6 @@ def check_number(value, name, high=math.inf, *, positive=False, integer=False):
         kind = "an integer" if integer else "finite"
         raise ValueError(f"{name} must be {rule} and {kind}, got {value!r}")
     return value
-
-
-def _check_vector(x, n, name):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != n:
-        raise ValueError(f"{name} must be a vector of length {n}, got shape {x.shape}")
-    return x
 
 
 def _xlogx(x):
@@ -192,24 +188,13 @@ class BregmanGeometry:
         return all(abs(float(x[sl].sum()) - 1.0) <= SIMPLEX_SUM_TOL for sl in self._slices)
 
     def composite_prox(self, c, y, mu, v, rho, nonsmooth="zero"):
-        """Checked prox: validates the arguments, then solves with ``_prox``.
+        """argmin_v g(v) + <c, v> + mu * D(v, y) + rho * D(v, v_anchor).
 
-        Returns argmin_v g(v) + <c, v> + mu * D(v, y) + rho * D(v, v_anchor)
-        for the anchors ``y`` (weight ``mu >= 0``) and ``v`` (weight
-        ``rho > 0``); ``nonsmooth`` names g and must be in ``self.nonsmooth``.
+        Unchecked: the anchors ``y`` (weight ``mu >= 0``) and ``v``
+        (weight ``rho > 0``) are points of the domain, and ``nonsmooth``,
+        one of ``self.nonsmooth``, names g.  The Euclidean threshold
+        proxes raise ValueError on a point that is not finite.
         """
-        c = _check_vector(c, self.dimension, "c")
-        y = _check_vector(y, self.dimension, "y")
-        v = _check_vector(v, self.dimension, "v")
-        check_number(mu, "mu")
-        check_number(rho, "rho", positive=True)
-        if nonsmooth not in self.nonsmooth:
-            raise ValueError(f"the {self.kind} prox on the {self.domain} domain does not "
-                             f"support the nonsmooth term {nonsmooth!r}")
-        return self._prox(c, y, mu, v, rho, nonsmooth)
-
-    def _prox(self, c, y, mu, v, rho, nonsmooth):
-        """The composite prox without input checks (the solver's hot path)."""
         raise NotImplementedError
 
     def to_dict(self):
@@ -237,10 +222,9 @@ class EuclideanGeometry(BregmanGeometry):
             self.nonsmooth = ("zero", "squared_l1_half")
 
     def grad(self, x):
-        return _check_vector(x, self.dimension, "x").copy()
+        return x.copy()
 
     def grad_conj(self, w):
-        w = _check_vector(w, self.dimension, "w")
         return w.copy() if self.domain == "reals" else self._project(w)
 
     def _project(self, z):
@@ -255,12 +239,10 @@ class EuclideanGeometry(BregmanGeometry):
         return out
 
     def divergence(self, x, y):
-        x = _check_vector(x, self.dimension, "x")
-        y = _check_vector(y, self.dimension, "y")
         d = x - y
         return 0.5 * float(d @ d)
 
-    def _prox(self, c, y, mu, v, rho, nonsmooth):
+    def composite_prox(self, c, y, mu, v, rho, nonsmooth="zero"):
         s = mu + rho
         # at mu = 0, mu * y would only add a signed zero
         z = rho * v if mu == 0 else mu * y + rho * v
@@ -283,10 +265,10 @@ class EntropyGeometry(BregmanGeometry):
 
     The divergence is the (generalized) Kullback-Leibler divergence.
     Entries below ``LOG_FLOOR`` are floored before logarithms so that
-    components that underflowed to zero stay usable; negative entries
-    raise.  The prox with g = 0 is a per-block softmax of the weighted
-    geometric mean of the anchors tilted by the linear term, computed in
-    log space with a max shift.
+    components that underflowed to zero stay usable.  The prox with
+    g = 0 is a per-block softmax of the weighted geometric mean of the
+    anchors tilted by the linear term, computed in log space with a max
+    shift.
     """
 
     kind = "entropy"
@@ -294,13 +276,7 @@ class EntropyGeometry(BregmanGeometry):
     def __init__(self, dimension, blocks=None):
         super().__init__(dimension, "simplex", blocks)
 
-    def _check_nonneg(self, x, name):
-        if np.any(x < 0):
-            raise ValueError(f"{name} has negative entries; outside the entropy domain")
-
     def grad(self, x):
-        x = _check_vector(x, self.dimension, "x")
-        self._check_nonneg(x, "x")
         return 1.0 + _floored_log(x)
 
     def _softmax(self, a):
@@ -313,25 +289,13 @@ class EntropyGeometry(BregmanGeometry):
         return a
 
     def grad_conj(self, w):
-        return self._softmax(_check_vector(w, self.dimension, "w").copy())
+        return self._softmax(w.copy())
 
     def divergence(self, x, y):
-        x = _check_vector(x, self.dimension, "x")
-        y = _check_vector(y, self.dimension, "y")
-        self._check_nonneg(x, "x")
-        self._check_nonneg(y, "y")
         kl = _xlogx(x) - x * _floored_log(y)
         return float(kl.sum() - x.sum() + y.sum())
 
     def composite_prox(self, c, y, mu, v, rho, nonsmooth="zero"):
-        """Checked prox (see the base class); the anchors must also be nonnegative."""
-        y = _check_vector(y, self.dimension, "y")
-        v = _check_vector(v, self.dimension, "v")
-        if not np.minimum(y, v).min() >= 0:
-            raise ValueError("y or v has negative or NaN entries; outside the entropy domain")
-        return super().composite_prox(c, y, mu, v, rho, nonsmooth)
-
-    def _prox(self, c, y, mu, v, rho, nonsmooth):
         s = mu + rho
         if mu == 0:
             # mu * log(y) would only add a signed zero here.

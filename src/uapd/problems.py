@@ -75,8 +75,9 @@ class ProblemInstance:
     ``g_spec`` names g and must be one of ``geometry.nonsmooth``, the
     g whose prox the geometry solves.  ``known_saddle`` is
     ``(x*, lam*)`` when available (lam* empty for unconstrained problems)
-    and enables :meth:`lyapunov`; its f(x*) and A x* - b are formed once
-    here, as ``objective_star`` and ``residual_star``.  ``known_optimum``
+    and enables :meth:`lyapunov`; x* must be a point of the geometry's
+    domain, and its f(x*) and A x* - b are formed once here, as
+    ``objective_star`` and ``residual_star``.  ``known_optimum``
     is f(x*) when known.  ``a_norm`` is ||A||, computed once here (0.0
     when unconstrained) and also published as ``metadata["a_norm"]``;
     the solver squares it, so a square past the float range is refused.
@@ -148,6 +149,9 @@ class ProblemInstance:
             if (x_star.shape, lam_star.shape) != want:
                 raise ValueError(f"known_saddle has shapes {x_star.shape} and "
                                  f"{lam_star.shape}, expected {want[0]} and {want[1]}")
+            if not self.geometry.contains(x_star):  # the geometry checks no point it is given
+                raise ValueError(f"known_saddle's x* is not a finite point of the "
+                                 f"{self.geometry.domain} domain")
             self.known_saddle = (x_star, lam_star)
             self.objective_star = self.objective(x_star)
             self.residual_star = self.residual(x_star)

@@ -20,15 +20,17 @@ instance owns that layout: its ``*_block`` slices, ``constrained`` and
 ``dual_dimension`` are attributes set when it was built.  Work per
 line-search trial: one lift of the prox output v_{k+1} (one K and, if
 constrained, one A product), h with its gradient at y_k and h alone at
-x_{k+1} (``instance.h_value``), both on carried K images, one unchecked
-composite prox and, if constrained, one A^T product.  An instance that
-declares h = 0 (no oracle) makes neither h call.  The dual update reads
-A v_{k+1} - b from the lift; the trace row reuses h(x_{k+1}) and the
-carried A x_{k+1} - b, and so does its Lyapunov value, whose f(x*) and
-A x* - b the instance formed when it was built.  The carried images
-round differently from fresh products: under 1e-12 relative on the
-recorded objective of the benchmark games.  Inputs are validated at the
-public boundary; each trial makes two finiteness checks.
+x_{k+1} (``instance.h_value``), both on carried K images, one
+``instance.geometry.composite_prox`` and, if constrained, one A^T
+product.  An instance that declares h = 0 (no oracle) makes neither h
+call.  The dual update reads A v_{k+1} - b from the lift; the trace row
+reuses h(x_{k+1}) and the carried A x_{k+1} - b, and so does its
+Lyapunov value, whose f(x*) and A x* - b the instance formed when it
+was built.  The carried images round differently from fresh products:
+under 1e-12 relative on the recorded objective of the benchmark games.
+Inputs are validated at the public boundary; the prox trusts its
+anchors, prox outputs or their convex combinations.  Each trial makes
+two finiteness checks, and the iteration loop silences numpy's warnings.
 
 ``solve`` returns its rows as a :class:`Trace`, typed columns of about
 90 B per row that build an :class:`IterationRecord` when one is read.
@@ -290,11 +292,9 @@ def inner_step(state, M_trial, instance, fixed_eps=None):
         raise SolverError(f"non-finite h(y) or prox linear term at iteration {state.k} "
                           f"(M = {M_trial:g})")
 
-    # unchecked: the anchors are prox outputs or their convex combinations, and
-    # the instance checked at construction that the geometry's prox solves its g
     try:  # the prox divides c by mu + rho, which can overflow
-        v_lift = instance.lift(instance.geometry._prox(c, y, instance.mu, state.v, rho,
-                                                       instance.g_spec))
+        v_lift = instance.lift(instance.geometry.composite_prox(c, y, instance.mu, state.v, rho,
+                                                                instance.g_spec))
     except ValueError as exc:
         raise SolverError(f"prox {exc} at iteration {state.k} (M = {M_trial:g})") from None
     x_lift = _average(state.x_lift, v_lift, alpha)
@@ -408,13 +408,15 @@ def solve(instance, config=None, fixed_eps=None):
                   lyapunov=instance.known_saddle is not None)
     _record(trace, state, instance, 0, 0.0,
             instance.h_value(state.x, state.x_lift[instance.image_block]), 0.0, 0.0)
-    for _ in range(config.max_iterations):
-        accepted, i_k = line_search(state, instance, fixed_eps=fixed_eps)
-        state = outer_update(state, accepted, i_k, instance)
-        feasibility, f_res = _record(trace, state, instance, i_k, time.perf_counter() - t0,
-                                     accepted.h_at_x, accepted.alpha, accepted.delta)
-        if _targets_met(feasibility, f_res, config):
-            break
+    # quiet, as a value that overflows or turns NaN is checked and raises SolverError
+    with np.errstate(all="ignore"):
+        for _ in range(config.max_iterations):
+            accepted, i_k = line_search(state, instance, fixed_eps=fixed_eps)
+            state = outer_update(state, accepted, i_k, instance)
+            feasibility, f_res = _record(trace, state, instance, i_k, time.perf_counter() - t0,
+                                         accepted.h_at_x, accepted.alpha, accepted.delta)
+            if _targets_met(feasibility, f_res, config):
+                break
     return state, trace
 
 

@@ -428,6 +428,33 @@ def test_flow_whose_gamma_rounds_to_zero_ends_in_one_line_and_no_warning(tmp_pat
     assert not list(tmp_path.glob("smoke_*"))
 
 
+def test_solve_whose_model_overflows_ends_in_one_line_and_no_warning(tmp_path, capsys):
+    # gamma0 = M0 = 1e-300 makes the first step so long that its model overflows
+    cfg = write_config(tmp_path / "run.json", {
+        "instance": {"kind": "steiner", "m": 3, "n": 2, "seed": 1},
+        "solver": {"gamma0": 1e-300, "M0": 1e-300}, "output": "bad"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite h(x) - model") and err.count("\n") == 1
+    assert not list(tmp_path.glob("bad_*"))
+
+
+def test_bounds_whose_envelope_underflows_exits_2_naming_M_nu(tmp_path, capsys):
+    # with gamma0 = 1e100 and M_nu = 1e-300 the envelope is 0.0 on the whole fit window
+    cfg = write_config(tmp_path / "run.json", {
+        "instance": {"kind": "matrix_game", "m": 4, "n": 5, "seed": 1},
+        "solver": {"gamma0": 1e100, "max_iterations": 50},
+        "bounds": {"nu": 1.0, "M_nu": 1e-300}, "output": "bad"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'bounds.M_nu' = 1e-300") and err.count("\n") == 1
+    assert not list(tmp_path.glob("bad_*"))
+
+
 def test_bounds_command_overlays_envelope(tmp_path):
     cfg = write_config(
         tmp_path / "run.json",

@@ -59,12 +59,6 @@ def test_divergence_strong_convexity_lower_bound():
             assert geom.divergence(x, y) >= 0.5 * np.sum((x - y) ** 2) - 1e-12
 
 
-def test_entropy_divergence_rejects_negative_entries():
-    geom = EntropyGeometry(3)
-    with pytest.raises(ValueError):
-        geom.divergence(np.array([-0.1, 0.6, 0.5]), np.ones(3) / 3)
-
-
 def test_entropy_divergence_handles_zero_entries():
     geom = EntropyGeometry(3)
     x = np.array([0.0, 0.4, 0.6])
@@ -225,21 +219,6 @@ def test_squared_l1_prox_sparsifies_small_entries():
 # validation and serialization
 
 
-def test_query_validation_errors():
-    geom = EuclideanGeometry(3)
-    ok = dict(c=np.zeros(3), y=np.zeros(3), mu=0.0, v=np.zeros(3), rho=1.0)
-    for rho in (0.0, float("nan")):
-        with pytest.raises(ValueError, match="rho"):
-            geom.composite_prox(**{**ok, "rho": rho})
-    for mu in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="mu"):
-            geom.composite_prox(**{**ok, "mu": mu})
-    with pytest.raises(ValueError):
-        geom.composite_prox(**ok, nonsmooth="l1")
-    with pytest.raises(ValueError):
-        geom.composite_prox(**{**ok, "c": np.zeros(4)})
-
-
 def project_simplex(z):
     return _project_simplex(z, np.empty_like(z), np.arange(1.0, z.size + 1.0))
 
@@ -280,31 +259,6 @@ def test_threshold_proxes_reject_non_finite_input(bad):
               np.full(4, bad)):
         assert (threshold_outcome(project_simplex, z)
                 == threshold_outcome(helpers.reference_project_simplex, z))
-
-
-def test_squared_l1_requires_full_space():
-    center = np.ones(3) / 3
-    for geom in (EuclideanGeometry(3, domain="nonneg"), EuclideanGeometry(3, domain="simplex")):
-        assert geom.nonsmooth == ("zero",)
-        with pytest.raises(ValueError, match="does not support the nonsmooth term"):
-            geom.composite_prox(np.zeros(3), center, 0.0, center, 1.0, "squared_l1_half")
-    assert EuclideanGeometry(3).nonsmooth == ("zero", "squared_l1_half")
-
-
-def test_entropy_rejects_nonzero_nonsmooth():
-    geom, center = EntropyGeometry(3), np.ones(3) / 3
-    assert geom.nonsmooth == ("zero",)
-    with pytest.raises(ValueError, match="does not support the nonsmooth term"):
-        geom.composite_prox(np.zeros(3), center, 0.0, center, 1.0, "squared_l1_half")
-
-
-@pytest.mark.parametrize("bad", [-0.1, float("nan")])
-def test_entropy_prox_rejects_anchors_outside_the_domain(bad):
-    geom = EntropyGeometry(3)
-    ok, out = np.ones(3) / 3, np.array([0.5, 0.6, bad])
-    for y, v in ((out, ok), (ok, out)):
-        with pytest.raises(ValueError, match="outside the entropy domain"):
-            geom.composite_prox(np.zeros(3), y, 0.5, v, 1.0)
 
 
 def test_bad_constructor_arguments():

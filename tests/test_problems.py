@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -375,6 +376,19 @@ def test_known_saddle_is_shape_checked_and_its_terms_formed_at_build():
         with pytest.raises(ValueError, match="^known_saddle has shapes"):
             ProblemInstance(h_oracle=inst.h_oracle, K=inst.K, g_spec="zero",
                             geometry=inst.geometry, A=inst.A, b=inst.b, known_saddle=saddle)
+
+
+@pytest.mark.parametrize("x_star", [[-0.1, 0.6, 0.5], [math.nan, 0.5, 0.5], [0.5, 0.2, 0.2]],
+                         ids=["negative", "nan", "off_simplex"])
+def test_instance_rejects_a_known_saddle_outside_the_domain(x_star):
+    # the geometry's divergence, which the Lyapunov value takes at x*, checks no point
+    def build(x):
+        return ProblemInstance(h_oracle=lambda x: (0.0, np.zeros(3)), g_spec="zero",
+                               geometry=EntropyGeometry(3), known_saddle=(x, np.zeros(0)))
+    assert build(np.array([0.2, 0.3, 0.5])).known_saddle is not None
+    with pytest.raises(ValueError, match=r"^known_saddle's x\* is not a finite point of the "
+                                         r"simplex domain$"):
+        build(np.array(x_star))
 
 
 def test_basis_pursuit_argument_validation():
