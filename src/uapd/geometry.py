@@ -83,14 +83,14 @@ def _project_simplex(z, out, counts):
     """
     s = np.negative(z)
     s.sort()  # ascending -z is descending z, and contiguous
-    if math.isnan(s[-1]):  # NaN sorts last
+    if math.isnan(s[-1]) or math.isinf(s[0]):  # NaN sorts last; s[0] is -max(z)
         raise ValueError("non-finite input")
     css = np.add.accumulate(s)
     css += 1.0
     css /= counts[:s.shape[0]]  # -theta for each count
     valid = (s < css).nonzero()[0]
-    if valid.size == 0:  # finite input always has a threshold index
-        raise ValueError("non-finite input")
+    if valid.size == 0:  # max(z) absorbed the 1: z - max(z) has the same projection
+        return _project_simplex(z + s[0], out, counts)  # and passes at its index 0
     np.add(z, css[valid[-1]], out=out)
     return np.maximum(out, 0.0, out=out)
 
@@ -106,16 +106,18 @@ def _prox_squared_l1(z, w, counts):
     u = np.abs(z)
     s = np.negative(u)
     s.sort()  # ascending -|z| is descending |z|, and contiguous
-    if math.isnan(s[-1]):  # NaN sorts last
+    if math.isnan(s[-1]) or math.isinf(s[0]):  # NaN sorts last, an infinity first
         raise ValueError("non-finite input")
     if s[0] == 0.0:
         return np.zeros_like(z)
     taus = np.add.accumulate(s)
+    if -float(taus[-1]) * float(w) == math.inf:  # checked before numpy would warn
+        raise ValueError(f"weight {w:g} times ||z||_1 = {-taus[-1]:g} past the float range")
     taus *= w
     taus /= counts * w + 1.0  # -tau for each count
     valid = (s < taus).nonzero()[0]
-    if valid.size == 0:  # finite input always has a threshold index
-        raise ValueError("non-finite input")
+    if valid.size == 0:  # finite input has one unless 1 / w is below rounding (w ~ 2^52)
+        raise ValueError(f"weight {w:g} past double precision")
     u += taus[valid[-1]]
     np.maximum(u, 0.0, out=u)
     return np.copysign(u, z, out=u)
@@ -193,7 +195,8 @@ class BregmanGeometry:
         Unchecked: the anchors ``y`` (weight ``mu >= 0``) and ``v``
         (weight ``rho > 0``) are points of the domain, and ``nonsmooth``,
         one of ``self.nonsmooth``, names g.  The Euclidean threshold
-        proxes raise ValueError on a point that is not finite.
+        proxes raise ValueError on a point that is not finite, and the
+        squared-l1 prox on a weight 1 / (mu + rho) past double precision.
         """
         raise NotImplementedError
 
@@ -283,9 +286,9 @@ class EntropyGeometry(BregmanGeometry):
         """Per-block softmax of ``a`` with a max shift, in place; returns ``a``."""
         for sl in self._slices:
             e = a[sl]
-            e -= e.max()
+            e -= np.maximum.reduce(e)
             np.exp(e, out=e)
-            e /= e.sum()
+            e /= np.add.reduce(e)
         return a
 
     def grad_conj(self, w):

@@ -76,7 +76,7 @@ class ProblemInstance:
     g whose prox the geometry solves.  ``known_saddle`` is
     ``(x*, lam*)`` when available (lam* empty for unconstrained problems)
     and enables :meth:`lyapunov`; x* must be a point of the geometry's
-    domain, and its f(x*) and A x* - b are formed once here, as
+    domain and lam* finite, and f(x*) and A x* - b are formed once here, as
     ``objective_star`` and ``residual_star``.  ``known_optimum``
     is f(x*) when known.  ``a_norm`` is ||A||, computed once here (0.0
     when unconstrained) and also published as ``metadata["a_norm"]``;
@@ -152,6 +152,8 @@ class ProblemInstance:
             if not self.geometry.contains(x_star):  # the geometry checks no point it is given
                 raise ValueError(f"known_saddle's x* is not a finite point of the "
                                  f"{self.geometry.domain} domain")
+            if not np.isfinite(lam_star).all():
+                raise ValueError("known_saddle's lam* is not finite")
             self.known_saddle = (x_star, lam_star)
             self.objective_star = self.objective(x_star)
             self.residual_star = self.residual(x_star)
@@ -188,7 +190,7 @@ class ProblemInstance:
     def g_value(self, x):
         if self.g_spec == "zero":
             return 0.0
-        return 0.5 * float(np.abs(x).sum()) ** 2
+        return 0.5 * float(np.add.reduce(np.abs(x))) ** 2
 
     def objective(self, x):
         return self.h(x)[0] + self.g_value(x)

@@ -3,8 +3,8 @@
 One iteration builds trial points from the running averages, solves a
 composite prox subproblem, and accepts the step once the smooth part is
 bracketed by its quadratic model up to a per-iteration tolerance.  The
-approximate curvature constant doubles on rejection and is never
-decreased across iterations, so nonsmooth and Hoelder-smooth objectives
+curvature constant doubles on rejection from any M0 > 0 up to the float
+range and never decreases, so nonsmooth and Hoelder-smooth objectives
 are handled by the same loop without knowing their smoothness level.
 
 Two tolerance policies are provided: the paper's delta_k = beta_{k+1} /
@@ -52,7 +52,6 @@ import numpy as np
 from .geometry import check_number
 
 __all__ = [
-    "LINE_SEARCH_CAP",
     "SolverConfig",
     "SolverState",
     "InnerResult",
@@ -70,16 +69,12 @@ __all__ = [
 ]
 
 
-# Curvature doublings one iteration may try before LineSearchError.
-LINE_SEARCH_CAP = 60
-
-
 class SolverError(RuntimeError):
     """Raised when an oracle or update produces non-finite values."""
 
 
 class LineSearchError(SolverError):
-    """Raised when the curvature doubling exceeds its cap.
+    """Raised when the curvature doubles past the float range.
 
     ``trials`` holds (M, h_at_candidate, model_value, tolerance) for
     every rejected trial, newest last.
@@ -288,7 +283,7 @@ def inner_step(state, M_trial, instance, fixed_eps=None):
     else:
         lam_tilde = state.lam
         c = np.zeros(y.size) if zero_h else grad_y
-    if not (math.isfinite(h_y) and np.isfinite(c).all()):
+    if not (math.isfinite(h_y) and np.logical_and.reduce(np.isfinite(c))):
         raise SolverError(f"non-finite h(y) or prox linear term at iteration {state.k} "
                           f"(M = {M_trial:g})")
 
@@ -320,18 +315,18 @@ def line_search(state, instance, fixed_eps=None):
     Returns ``(accepted, i_k)`` where i_k counts rejected doublings and
     ``accepted.M`` is the accepted constant.  The warm start is the
     previously accepted constant, so the accepted sequence never
-    decreases.
+    decreases.  The i-th trial is exactly 2^i M, up to the float range.
     """
     trials = []
-    for i in range(LINE_SEARCH_CAP + 1):
-        M_trial = (2.0 ** i) * state.M
+    M_trial = state.M
+    while M_trial < math.inf:
         result = inner_step(state, M_trial, instance, fixed_eps=fixed_eps)
         if result.h_at_x - result.model <= result.delta / 2.0:
-            return result, i
+            return result, len(trials)
         trials.append((M_trial, result.h_at_x, result.model, result.delta))
-    raise LineSearchError(
-        f"line search exceeded {LINE_SEARCH_CAP} doublings at iteration {state.k} "
-        f"(last M = {trials[-1][0]:g})", trials)
+        M_trial *= 2.0
+    raise LineSearchError(f"line search doubled M past the float range at iteration "
+                          f"{state.k}", trials)
 
 
 def outer_update(state, accepted, i_k, instance):

@@ -261,6 +261,26 @@ def test_threshold_proxes_reject_non_finite_input(bad):
                 == threshold_outcome(helpers.reference_project_simplex, z))
 
 
+@pytest.mark.parametrize("z, want", [
+    ([1e17, 5.0, 3.0], [1.0, 0.0, 0.0]),
+    ([1e17, 1e17, 3.0], [0.5, 0.5, 0.0]),
+    ([1e150, -1e150, 3e149], [1.0, 0.0, 0.0]),
+], ids=["1e17", "tie", "1e150"])
+def test_simplex_projection_takes_any_finite_input(z, want):
+    # past 2^53 the scan's "+ 1" is absorbed; the projection of z - max(z) is the same point
+    assert project_simplex(np.array(z)).tolist() == want
+
+
+@pytest.mark.parametrize("z, w, message", [
+    ([1e150, 2e150, 3.0], 1e20, r"weight 1e\+20 past double precision"),
+    ([1e300, 1e300, 1.0], 1e10, r"weight 1e\+10 times \|\|z\|\|_1 = 2e\+300 past the float range"),
+], ids=["weight", "magnitude"])
+def test_squared_l1_prox_names_what_failed(z, w, message):
+    # without a numpy warning: the suite turns one into an error
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        prox_squared_l1(np.array(z), w)
+
+
 def test_bad_constructor_arguments():
     with pytest.raises(ValueError):
         EuclideanGeometry(0)

@@ -378,17 +378,27 @@ def test_known_saddle_is_shape_checked_and_its_terms_formed_at_build():
                             geometry=inst.geometry, A=inst.A, b=inst.b, known_saddle=saddle)
 
 
-@pytest.mark.parametrize("x_star", [[-0.1, 0.6, 0.5], [math.nan, 0.5, 0.5], [0.5, 0.2, 0.2]],
-                         ids=["negative", "nan", "off_simplex"])
-def test_instance_rejects_a_known_saddle_outside_the_domain(x_star):
-    # the geometry's divergence, which the Lyapunov value takes at x*, checks no point
-    def build(x):
+X_OUTSIDE = r"^known_saddle's x\* is not a finite point of the simplex domain$"
+LAM_OUTSIDE = r"^known_saddle's lam\* is not finite$"
+
+
+@pytest.mark.parametrize("x_star, lam_star, message", [
+    ([-0.1, 0.6, 0.5], [0.0], X_OUTSIDE),
+    ([math.nan, 0.5, 0.5], [0.0], X_OUTSIDE),
+    ([0.5, 0.2, 0.2], [0.0], X_OUTSIDE),
+    ([0.2, 0.3, 0.5], [math.nan], LAM_OUTSIDE),
+    ([0.2, 0.3, 0.5], [-math.inf], LAM_OUTSIDE),
+], ids=["negative", "nan", "off_simplex", "lam_nan", "lam_inf"])
+def test_instance_rejects_a_known_saddle_outside_the_domain(x_star, lam_star, message):
+    # the geometry's divergence, which the Lyapunov value takes at x*, checks no point,
+    # and a lam* that is not finite turns every Lyapunov value into NaN
+    def build(x, lam):
         return ProblemInstance(h_oracle=lambda x: (0.0, np.zeros(3)), g_spec="zero",
-                               geometry=EntropyGeometry(3), known_saddle=(x, np.zeros(0)))
-    assert build(np.array([0.2, 0.3, 0.5])).known_saddle is not None
-    with pytest.raises(ValueError, match=r"^known_saddle's x\* is not a finite point of the "
-                                         r"simplex domain$"):
-        build(np.array(x_star))
+                               geometry=EntropyGeometry(3), A=np.ones((1, 3)), b=np.ones(1),
+                               known_saddle=(x, lam))
+    assert build(np.array([0.2, 0.3, 0.5]), np.zeros(1)).known_saddle is not None
+    with pytest.raises(ValueError, match=message):
+        build(np.array(x_star), np.array(lam_star))
 
 
 def test_basis_pursuit_argument_validation():

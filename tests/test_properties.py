@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -303,7 +304,7 @@ def run_mutated(source, field, value):
 @example(("qp_bounds", "instance.eig_spread", 1e308))
 @example(("game_solve", "solver.max_iterations", 10 ** 400))
 # valid runs that fail with SolverError: a step size whose beta * M underflows
-# to 0, and a prox whose input overflows
+# to 0, and a squared-l1 prox whose weight is past double precision
 @example(("game_euclidean_solve", "solver", {"gamma0": 1e300, "M0": 1e-300}))
 @example(("basis_pursuit_solve", "solver.gamma0", 1e-300))
 # an M_nu whose power M_nu^(2/(1+nu)) underflows to 0 is bad input
@@ -322,3 +323,52 @@ def test_one_bad_number_exits_cleanly(case):
         assert written == [], (case, written)
     if case[1] == "solver.max_iterations" and case[2] == 10 ** 400:
         assert code == 0 and seen[0] == 10 ** 400  # valid: the solve gets it as given
+
+
+# one small instance of each kind, as an inline recipe
+EXTREME_KINDS = {
+    "entropy_game": {"kind": "matrix_game", "m": 4, "n": 5, "seed": 1},
+    "euclidean_game": {"kind": "matrix_game", "m": 4, "n": 5, "seed": 1,
+                       "geometry": "euclidean"},
+    "regularized_game": {"kind": "regularized_matrix_game", "m": 4, "n": 5, "seed": 1,
+                         "eps": 0.1},
+    "steiner": {"kind": "steiner", "m": 3, "n": 2, "seed": 1},
+    "basis_pursuit": {"kind": "basis_pursuit", "m": 4, "n": 6, "seed": 2, "sparsity": 2},
+    "synthetic_qp": {"kind": "synthetic_qp", "n": 6, "m": 2, "mu": 0.5, "seed": 3},
+}
+EXTREME_VALUES = (1e-300, 1e-150, 1e-30, 1.0, 1e30, 1e150, 1e300)
+
+
+@settings(PROPERTY, max_examples=120)
+@given(st.sampled_from(("solve", "bounds", "flow")), st.sampled_from(sorted(EXTREME_KINDS)),
+       st.sampled_from(EXTREME_VALUES), st.sampled_from(EXTREME_VALUES))
+# M0 = 1e-300 doubles about 1000 times in iteration 0, and gamma0 = M0 = 1e-300
+# overflows Steiner's first model (exit 1)
+@example("solve", "entropy_game", 1.0, 1e-300)
+@example("solve", "euclidean_game", 1.0, 1e-300)
+@example("solve", "steiner", 1e-300, 1e-300)
+def test_valid_extreme_constants_exit_cleanly(command, kind, gamma0, M0):
+    cfg = {"instance": EXTREME_KINDS[kind],
+           "solver": {"gamma0": gamma0, "M0": M0, "max_iterations": 30}}
+    if command == "flow":
+        cfg["flow"] = {"t_end": 0.01, "dt": 0.001}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(cfg))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")  # a numpy warning fails the run
+            code = cli.main([command, path, "--out", os.path.join(tmp, "out")])
+    lines = err.getvalue().splitlines()
+    # bad input only where the config is: a flow on a kind it does not take, and
+    # bounds without an M_nu on basis pursuit, which certifies no Hoelder constant
+    bad_input = ((command == "flow" and kind != "synthetic_qp")
+                 or (command == "bounds" and kind == "basis_pursuit"))
+    assert code == 2 if bad_input else code in (0, 1), (code, lines)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        # M doubles up to the float range, which none of these runs comes near
+        assert not lines[0].startswith("error: line search"), lines
+    else:
+        assert lines == []

@@ -21,7 +21,6 @@ from uapd.solver import (IterationRecord, LineSearchError, SolverConfig, SolverE
                          trace_to_csv, TRACE_COLUMNS)
 
 import uapd
-from uapd import solver
 
 import helpers
 
@@ -282,21 +281,22 @@ def test_line_search_count_recorded():
     assert state.line_search_total > 0
 
 
-def test_line_search_cap_raises_with_trial_log(monkeypatch):
-    # an oracle whose reported gradient is wildly wrong forces rejection
-    n = 4
+def test_line_search_doubles_M_past_the_float_range_then_raises_with_trial_log():
+    # zero gradient, h = 0 at y_k and 1 at x_{k+1}: no curvature makes the model hold
+    calls = [0]
 
-    def lying_oracle(x):
-        return 0.0, np.full(n, 1e8)
+    def oracle(x):
+        # call 1 is the k = 0 row; then h(y_k) and h(x_{k+1}) alternate
+        calls[0] += 1
+        return (1.0 if calls[0] > 1 and calls[0] % 2 == 1 else 0.0), np.zeros(4)
 
-    instance = ProblemInstance(h_oracle=lying_oracle, g_spec="zero",
-                               geometry=EuclideanGeometry(n))
-    monkeypatch.setattr(solver, "LINE_SEARCH_CAP", 3)
-    with pytest.raises(LineSearchError) as err:
+    instance = ProblemInstance(h_oracle=oracle, g_spec="zero", geometry=EuclideanGeometry(4))
+    with pytest.raises(LineSearchError, match="^line search doubled M past the float range "
+                                              "at iteration 0$") as err:
         solve(instance, SolverConfig(max_iterations=1))
-    assert len(err.value.trials) == 4
     ms = [t[0] for t in err.value.trials]
-    assert ms == [1.0, 2.0, 4.0, 8.0]
+    assert ms == [2.0 ** i for i in range(1024)]  # 1, 2, ..., the last finite power of 2
+    assert all(t[1:3] == (1.0, 0.0) for t in err.value.trials)  # h(x_{k+1}) and the model
 
 
 def test_non_finite_oracle_raises_solver_error():
@@ -333,25 +333,43 @@ def test_non_finite_oracle_raises_solver_error():
 
 
 # valid runs whose numbers leave the floats: a step size whose beta * M underflows to
-# 0, and a prox whose input c / (mu + rho) overflows
+# 0, and a squared-l1 prox whose weight 1 / rho is past double precision
 FAILING_RUNS = [
     (lambda: make_matrix_game(4, 5, seed=1, geometry="euclidean"),
      SolverConfig(gamma0=1e300, M0=1e-300), "step size underflow at iteration 1 "),
     (lambda: make_basis_pursuit(5, 12, seed=1, sparsity=2), SolverConfig(gamma0=1e-300),
-     "prox non-finite input at iteration 0 "),
+     r"prox weight \S+ past double precision at iteration 0 "),
     (lambda: make_basis_pursuit(5, 12, seed=1, sparsity=2), SolverConfig(gamma0=1e-150),
-     "prox non-finite input at iteration 0 "),
-    (lambda: make_matrix_game(4, 5, seed=1, geometry="euclidean"), SolverConfig(M0=1e-300),
-     "prox non-finite input at iteration 0 "),
+     r"prox weight \S+ past double precision at iteration 0 "),
 ]
 
 
 @pytest.mark.parametrize("make, config, message", FAILING_RUNS,
-                         ids=["underflow", "prox-1e-300", "prox-1e-150", "game-prox"])
+                         ids=["underflow", "prox-1e-300", "prox-1e-150"])
 def test_numbers_that_leave_the_floats_raise_solver_error(make, config, message):
     with pytest.raises(SolverError, match=f"^{message}") as err:
         solve(make(), config)
     assert not isinstance(err.value, LineSearchError)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_matrix_game(4, 5, seed=1),
+    lambda: make_matrix_game(4, 5, seed=1, geometry="euclidean"),
+    lambda: make_regularized_matrix_game(4, 5, seed=1, eps=0.1),
+    lambda: make_steiner(3, 2, seed=1),
+    lambda: make_basis_pursuit(4, 6, seed=2, sparsity=2),
+    lambda: make_synthetic_qp(6, 2, mu=0.5, seed=3),
+], ids=["entropy_game", "euclidean_game", "regularized_game", "steiner", "basis_pursuit",
+        "synthetic_qp"])
+def test_any_M0_runs_as_the_doubling_climbs_from_it(make):
+    # iteration 0 doubles M from M0 until the model holds, however many doublings it takes
+    instance = make()
+    for M0 in (1e-20, 1e-150, 1e-300):
+        state, trace = solve(instance, SolverConfig(M0=M0, max_iterations=30))
+        assert trace[-1].k == 30
+        assert state.line_search_total == sum(r.i_k for r in trace)
+        if instance.h_oracle is not None:  # h = 0 (basis pursuit) accepts every first trial
+            assert trace[1].i_k > math.log2(1.0 / M0) - 10
 
 
 @pytest.mark.parametrize("instance", [make_matrix_game(5, 8, seed=5),
@@ -447,13 +465,13 @@ def test_one_k_product_per_trial_and_two_a_products_per_iteration(instance):
         assert state.line_search_total == 0 and a_products[0] == 1 + 2 * trace[-1].k
 
 
-def calls_into_uapd(instance, iterations):
+def calls_into_uapd(instance, iterations, root=os.path.dirname(uapd.__file__) + os.sep):
     """(calls, k, T) of one solve: Python calls into uapd's own code, iterations, trials.
 
     Only frames whose code lives in the uapd package count, so numpy's
-    Python wrappers do not.
+    Python wrappers do not; another ``root`` counts the frames whose
+    file path starts with it instead.
     """
-    root = os.path.dirname(uapd.__file__) + os.sep
     calls = [0]
 
     def profile(frame, event, arg):
@@ -487,6 +505,17 @@ def test_python_calls_are_fixed_per_iteration_and_per_trial(make, per_iteration,
         calls, k, trials = calls_into_uapd(make(), iterations)
         assert k == iterations
         assert calls == per_iteration * k + per_trial * trials + setup
+
+
+@pytest.mark.parametrize("make", [lambda: make_matrix_game(5, 8, seed=5),
+                                  lambda: make_basis_pursuit(5, 12, seed=2, sparsity=2)],
+                         ids=["matrix_game", "basis_pursuit"])
+def test_no_numpy_method_wrapper_runs_per_iteration_or_per_trial(make):
+    # ndarray.max, .sum and .all run a Python frame of numpy's _methods module; the
+    # ufunc reduce each one wraps runs none
+    instance, methods = make(), np._core._methods.__file__
+    calls = [calls_into_uapd(instance, iterations, methods)[0] for iterations in (10, 40)]
+    assert calls[1] - calls[0] == 0
 
 
 def softmax_prox(geometry, c, y, mu, v, rho):
