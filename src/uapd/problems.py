@@ -342,9 +342,9 @@ def make_matrix_game(m, n, seed, geometry="entropy"):
 def _regularized_game_oracle(P, sigma):
     def oracle(x, image):  # image = P^T x
         u = image / sigma
-        umax = float(u.max())
+        umax = float(np.maximum.reduce(u))
         w = np.exp(u - umax)
-        s = float(w.sum())
+        s = float(np.add.reduce(w))
         value = sigma * (umax + np.log(s))
         grad = P @ (w / s)
         return value, grad
@@ -396,9 +396,9 @@ def _steiner_oracle(anchors):
     def oracle(x):
         diffs = x[None, :] - anchors
         norms = np.linalg.norm(diffs, axis=1)
-        value = float(norms.sum())
+        value = float(np.add.reduce(norms))
         mask = norms > STEINER_ZERO_DIST
-        grad = (diffs[mask] / norms[mask, None]).sum(axis=0)
+        grad = np.add.reduce(diffs[mask] / norms[mask, None], axis=0)
         return value, grad
 
     return oracle

@@ -10,8 +10,11 @@ are handled by the same loop without knowing their smoothness level.
 Two tolerance policies are provided: the paper's delta_k = beta_{k+1} /
 (k + 1) shrinks with the step-size parameter beta (no accuracy target is
 needed up front), while ``solve(..., fixed_eps=eps)`` spreads a fixed
-eps over iterations as eps / (k + 1).  mu and ||A|| are read from the
-instance; a caller chooses only what :class:`SolverConfig` holds.
+eps over iterations as eps / (k + 1); the state carries that eps.  mu
+and ||A|| are read from the instance; a caller chooses only what
+:class:`SolverConfig` holds.  A step is a function of the state alone:
+each line-search trial builds a candidate :class:`SolverState`, and the
+accepted candidate is the next state.
 
 Every point is carried lifted, as (x, K x, A x - b) stacked by
 ``ProblemInstance.lift`` (K is the linear map inside h, if declared), so
@@ -43,7 +46,7 @@ import math
 import operator
 import time
 from array import array
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -54,7 +57,6 @@ from .geometry import check_number
 __all__ = [
     "SolverConfig",
     "SolverState",
-    "InnerResult",
     "IterationRecord",
     "Trace",
     "SolverError",
@@ -124,13 +126,15 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Iterate bundle after k iterations: (x, v, lam, beta, gamma, M, k).
+    """Iterate after k iterations, (x, v, lam, beta, gamma, M, k), with the step that led here.
 
     x_lift and v_lift are ``instance.lift`` of x and v, and x and v are
     views of their leading blocks; none of these arrays is modified in
-    place.  line_search_total accumulates the rejected-trial count
-    Sum_j i_j.  The step size and tolerance of the step that led here
-    belong to its accepted trial, an :class:`InnerResult`.
+    place.  alpha, delta and model are the step size, tolerance and
+    quadratic model value of the trial that built the state (0.0 at the
+    start), and h_at_x is h(x).  eps is the fixed tolerance numerator,
+    None for the paper's rule.  line_search_total accumulates the
+    rejected-trial count Sum_j i_j.
     """
 
     x: np.ndarray
@@ -143,24 +147,11 @@ class SolverState:
     M: float
     k: int
     line_search_total: int
-
-
-@dataclass
-class InnerResult:
-    """Candidate step built by one line-search trial at curvature ``M``."""
-
-    M: float
-    y: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    x_lift: np.ndarray
-    v_lift: np.ndarray
-    lam: np.ndarray
     alpha: float
-    beta_new: float
     delta: float
     model: float
     h_at_x: float
+    eps: float | None
 
 
 TRACE_COLUMNS = ("k", "f_residual", "feasibility", "i_k", "M_k", "alpha_k",
@@ -171,8 +162,8 @@ TRACE_COLUMNS = ("k", "f_residual", "feasibility", "i_k", "M_k", "alpha_k",
 IterationRecord = namedtuple("IterationRecord", TRACE_COLUMNS + ("gamma_k",))
 
 
-def _drop(value):
-    """The append of an absent trace column."""
+# The append of an absent trace column: a C-level sink that keeps nothing.
+_drop = deque(maxlen=0).append
 
 
 class Trace:
@@ -233,35 +224,36 @@ def _average(p, q, alpha):
     return out
 
 
-def initial_state(instance, config):
-    """Barycenter start with a zero dual vector."""
+def initial_state(instance, config, fixed_eps=None):
+    """Barycenter start with a zero dual vector; ``fixed_eps`` picks the tolerance rule.
+
+    ``fixed_eps``, when given, must be positive and finite (ValueError
+    otherwise); None keeps the paper's rule.  ``config`` must be
+    resolved (see :meth:`SolverConfig.resolved`).
+    """
+    if fixed_eps is not None:
+        check_number(fixed_eps, "eps", positive=True)
     lifted = instance.lift(instance.geometry.barycenter())
     x_start = lifted[instance.x_block]
     return SolverState(
-        x=x_start,
-        v=x_start,
-        x_lift=lifted,
-        v_lift=lifted,
-        lam=np.zeros(instance.dual_dimension),
-        beta=1.0,
-        gamma=config.gamma0,
-        M=config.M0,
-        k=0,
-        line_search_total=0,
+        x=x_start, v=x_start, x_lift=lifted, v_lift=lifted, lam=np.zeros(instance.dual_dimension),
+        beta=1.0, gamma=config.gamma0, M=config.M0, k=0, line_search_total=0,
+        alpha=0.0, delta=0.0, model=0.0,
+        h_at_x=instance.h_value(x_start, lifted[instance.image_block]), eps=fixed_eps,
     )
 
 
-def inner_step(state, M_trial, instance, fixed_eps=None):
-    """Build the candidate step of iteration ``state.k`` for one curvature trial.
+def inner_step(state, M_trial, instance):
+    """The candidate next state of iteration ``state.k`` for one curvature trial.
 
-    ``fixed_eps`` switches the tolerance from
-    beta_{k+1} / (k+1) to eps / (k+1).  Raises
-    :class:`SolverError` when alpha or gamma / alpha divides by zero,
-    when h(y), the prox's linear term or h(x_{k+1}) - model is
+    The candidate's tolerance is beta_{k+1} / (k+1), or eps / (k+1) when
+    ``state.eps`` is set; its line_search_total is still the state's.
+    Raises :class:`SolverError` when alpha or gamma / alpha divides by
+    zero, when h(y), the prox's linear term or h(x_{k+1}) - model is
     non-finite, or when the prox refuses its input; a non-finite prox
     output or h(x_{k+1}) always makes that difference non-finite.
     """
-    beta, gamma = state.beta, state.gamma
+    beta, gamma, eps = state.beta, state.gamma, state.eps
     try:  # beta * M_trial and beta * gamma can underflow to 0
         alpha = math.sqrt(beta * gamma) / math.sqrt(beta * M_trial + instance.a_norm ** 2)
         rho = gamma / alpha
@@ -269,19 +261,18 @@ def inner_step(state, M_trial, instance, fixed_eps=None):
         raise SolverError(f"step size underflow at iteration {state.k} "
                           f"(M = {M_trial:g})") from None
     beta_new = beta / (1.0 + alpha)
-    delta = (beta_new if fixed_eps is None else fixed_eps) / (state.k + 1)
+    delta = (beta_new if eps is None else eps) / (state.k + 1)
 
     y_lift = _average(state.x_lift, state.v_lift, alpha)
     y = y_lift[instance.x_block]
     zero_h = instance.h_oracle is None  # h = 0: no oracle call and no linear term from h
     h_y, grad_y = (0.0, None) if zero_h else instance.h(y, y_lift[instance.image_block])
+    lam = state.lam
     if instance.constrained:
-        lam_tilde = state.lam + (alpha / beta) * state.v_lift[instance.residual_block]
-        c = instance.A.T @ lam_tilde
+        c = instance.A.T @ (lam + (alpha / beta) * state.v_lift[instance.residual_block])
         if not zero_h:
             c = grad_y + c
     else:
-        lam_tilde = state.lam
         c = np.zeros(y.size) if zero_h else grad_y
     if not (math.isfinite(h_y) and np.logical_and.reduce(np.isfinite(c))):
         raise SolverError(f"non-finite h(y) or prox linear term at iteration {state.k} "
@@ -303,69 +294,59 @@ def inner_step(state, M_trial, instance, fixed_eps=None):
     if not math.isfinite(h_x - model):
         raise SolverError(f"non-finite h(x) - model at iteration {state.k} (M = {M_trial:g})")
 
-    return InnerResult(
-        y=y, x=x_new, v=v_lift[instance.x_block], x_lift=x_lift, v_lift=v_lift, lam=lam_tilde,
-        M=M_trial, alpha=alpha, beta_new=beta_new, delta=delta, model=model, h_at_x=h_x,
+    if instance.constrained:  # the dual update reads A v_{k+1} - b from the lift
+        lam = lam + (alpha / beta) * v_lift[instance.residual_block]
+    return SolverState(
+        x=x_new, v=v_lift[instance.x_block], x_lift=x_lift, v_lift=v_lift, lam=lam,
+        beta=beta_new, gamma=(gamma + instance.mu * alpha) / (1.0 + alpha), M=M_trial,
+        k=state.k + 1, line_search_total=state.line_search_total,
+        alpha=alpha, delta=delta, model=model, h_at_x=h_x, eps=eps,
     )
 
 
-def line_search(state, instance, fixed_eps=None):
+def line_search(state, instance):
     """Double the curvature trial of iteration ``state.k`` until the quadratic model holds.
 
-    Returns ``(accepted, i_k)`` where i_k counts rejected doublings and
-    ``accepted.M`` is the accepted constant.  The warm start is the
-    previously accepted constant, so the accepted sequence never
-    decreases.  The i-th trial is exactly 2^i M, up to the float range.
+    Returns ``(accepted, i_k)``: the accepted candidate state, whose
+    ``M`` is the accepted constant, and the number of rejected
+    doublings.  The warm start is the previously accepted constant, so
+    the accepted sequence never decreases.  The i-th trial is exactly
+    2^i M, up to the float range.
     """
     trials = []
     M_trial = state.M
     while M_trial < math.inf:
-        result = inner_step(state, M_trial, instance, fixed_eps=fixed_eps)
-        if result.h_at_x - result.model <= result.delta / 2.0:
-            return result, len(trials)
-        trials.append((M_trial, result.h_at_x, result.model, result.delta))
+        trial = inner_step(state, M_trial, instance)
+        if trial.h_at_x - trial.model <= trial.delta / 2.0:
+            return trial, len(trials)
+        trials.append((M_trial, trial.h_at_x, trial.model, trial.delta))
         M_trial *= 2.0
     raise LineSearchError(f"line search doubled M past the float range at iteration "
                           f"{state.k}", trials)
 
 
-def outer_update(state, accepted, i_k, instance):
-    """Advance the state with a step accepted after ``i_k`` rejected trials."""
-    alpha, lam = accepted.alpha, state.lam
-    if instance.constrained:
-        lam = lam + (alpha / state.beta) * accepted.v_lift[instance.residual_block]
-    return SolverState(
-        x=accepted.x,
-        v=accepted.v,
-        x_lift=accepted.x_lift,
-        v_lift=accepted.v_lift,
-        lam=lam,
-        beta=accepted.beta_new,
-        gamma=(state.gamma + instance.mu * alpha) / (1.0 + alpha),
-        M=accepted.M,
-        k=state.k + 1,
-        line_search_total=state.line_search_total + i_k,
-    )
+def outer_update(state, accepted, i_k):
+    """The next state: ``accepted``, with its ``i_k`` rejected trials counted."""
+    accepted.line_search_total += i_k
+    return accepted
 
 
-def _record(trace, state, instance, i_k, wall, h_at_x, alpha, delta):
-    """Append the trace row of ``state``; ``h_at_x`` is h(state.x).
+def _record(trace, state, instance, i_k, wall):
+    """Append the trace row of ``state``, whose step took ``i_k`` rejected trials.
 
-    ``alpha`` and ``delta`` are the step size and tolerance of the trial
-    accepted into ``state``, 0.0 for the starting point.  The carried
-    A x_k - b serves feasibility and, when the instance has a known
-    saddle point, the Lyapunov value.  Returns the row's
+    The carried A x_k - b serves feasibility and, when the instance has
+    a known saddle point, the Lyapunov value.  Returns the row's
     (feasibility, f_residual) for the stopping test.
     """
-    obj = h_at_x + instance.g_value(state.x)
+    obj = state.h_at_x + instance.g_value(state.x)
     f_res = None if instance.known_optimum is None else obj - instance.known_optimum
     residual = state.x_lift[instance.residual_block] if instance.constrained else None
     feasibility = 0.0 if residual is None else math.sqrt(float(residual @ residual))
     lyap = None
     if instance.known_saddle is not None:
         lyap = instance.lyapunov(obj, residual, state.v, state.lam, state.gamma, state.beta)
-    trace.append(state.k, f_res, feasibility, i_k, state.M, alpha, state.beta, delta, lyap,
-                 wall, obj, state.gamma)
+    trace.append(state.k, f_res, feasibility, i_k, state.M, state.alpha, state.beta,
+                 state.delta, lyap, wall, obj, state.gamma)
     return feasibility, f_res
 
 
@@ -387,29 +368,26 @@ def solve(instance, config=None, fixed_eps=None):
     row per iterate including the starting point.  ``fixed_eps``, when
     given, must be positive and finite: the tolerance is then eps / (k + 1),
     the fixed-tolerance baseline, instead of the paper's beta_{k+1} / (k + 1).
+    ``initial_state`` stores it as ``state.eps``, which every step carries.
 
     Each iteration calls the module globals ``line_search``,
     ``outer_update`` and ``_record`` by name.  That is the seam for
-    instrumentation: a wrapper of ``outer_update(state, accepted, i_k,
-    instance)`` sees every accepted step at full precision and must
-    return the new state.
+    instrumentation: a wrapper of ``outer_update(state, accepted, i_k)``
+    sees every accepted step at full precision, the state before it and
+    the accepted candidate, and must return the new state.
     """
-    if fixed_eps is not None:
-        check_number(fixed_eps, "eps", positive=True)
     config = (config or SolverConfig()).resolved(instance)
-    state = initial_state(instance, config)
+    state = initial_state(instance, config, fixed_eps)
     t0 = time.perf_counter()
     trace = Trace(f_residual=instance.known_optimum is not None,
                   lyapunov=instance.known_saddle is not None)
-    _record(trace, state, instance, 0, 0.0,
-            instance.h_value(state.x, state.x_lift[instance.image_block]), 0.0, 0.0)
+    _record(trace, state, instance, 0, 0.0)
     # quiet, as a value that overflows or turns NaN is checked and raises SolverError
     with np.errstate(all="ignore"):
         for _ in range(config.max_iterations):
-            accepted, i_k = line_search(state, instance, fixed_eps=fixed_eps)
-            state = outer_update(state, accepted, i_k, instance)
-            feasibility, f_res = _record(trace, state, instance, i_k, time.perf_counter() - t0,
-                                         accepted.h_at_x, accepted.alpha, accepted.delta)
+            accepted, i_k = line_search(state, instance)
+            state = outer_update(state, accepted, i_k)
+            feasibility, f_res = _record(trace, state, instance, i_k, time.perf_counter() - t0)
             if _targets_met(feasibility, f_res, config):
                 break
     return state, trace

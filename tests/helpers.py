@@ -266,13 +266,16 @@ def manual_inner_step(k, state, M_trial, instance, fixed_eps=None):
         lam_tilde = state.lam
     v_new = instance.geometry.composite_prox(linear, y, instance.mu, state.v, gamma / alpha,
                                              instance.g_spec)
+    lam_new = state.lam
+    if instance.constrained:
+        lam_new = state.lam + (alpha / beta) * (instance.A @ v_new - instance.b)
     x_new = (state.x + alpha * v_new) / (1.0 + alpha)
     diff = x_new - y
     model = h_y + float(grad_y @ diff) + 0.5 * M_trial * float(diff @ diff)
     h_x = instance.h(x_new)[0]
     return {
         "alpha": alpha, "beta_new": beta_new, "delta": delta, "y": y,
-        "lam_tilde": lam_tilde, "v": v_new, "x": x_new, "model": model,
+        "lam_tilde": lam_tilde, "lam": lam_new, "v": v_new, "x": x_new, "model": model,
         "h_at_y": h_y, "h_at_x": h_x, "accept": h_x - model <= delta / 2.0,
     }
 
@@ -294,9 +297,11 @@ class StepRecorder:
     """Records (k, state, accepted, i_k, new_state) for every accepted step of a solve.
 
     A context manager: inside its ``with`` block ``solver.outer_update``,
-    which ``solve`` calls by its module name once per iteration, is
-    wrapped to record its arguments and result; the block's exit
-    restores it.
+    which ``solve`` calls by its module name once per iteration as
+    ``outer_update(state, accepted, i_k)``, is wrapped to record its
+    arguments and result; the block's exit restores it.  ``accepted`` is
+    the candidate state the line search accepted, and ``new_state`` is
+    that same object once its rejected trials are counted.
     """
 
     def __init__(self):
@@ -305,8 +310,8 @@ class StepRecorder:
     def __enter__(self):
         self._outer_update = update = solver.outer_update
 
-        def recorded(state, accepted, i_k, instance):
-            new_state = update(state, accepted, i_k, instance)
+        def recorded(state, accepted, i_k):
+            new_state = update(state, accepted, i_k)
             self.steps.append((state.k, state, accepted, i_k, new_state))
             return new_state
 

@@ -16,9 +16,9 @@ from uapd.geometry import LOG_FLOOR, EntropyGeometry, EuclideanGeometry
 from uapd.problems import (ProblemInstance, load_instance, make_basis_pursuit,
                            make_matrix_game, make_regularized_matrix_game, make_steiner,
                            make_synthetic_qp)
-from uapd.solver import (IterationRecord, LineSearchError, SolverConfig, SolverError, Trace,
-                         initial_state, inner_step, line_search, outer_update, solve,
-                         trace_to_csv, TRACE_COLUMNS)
+from uapd.solver import (IterationRecord, LineSearchError, SolverConfig, SolverError,
+                         SolverState, Trace, initial_state, inner_step, line_search,
+                         outer_update, solve, trace_to_csv, TRACE_COLUMNS)
 
 import uapd
 
@@ -53,13 +53,14 @@ def test_inner_step_matches_manual_transcription(fixed_eps):
         for k, state, accepted, i_k, new_state in recorder.steps:
             M_acc = new_state.M
             want = helpers.manual_inner_step(k, state, M_acc, instance, fixed_eps=fixed_eps)
+            assert (accepted.k, accepted.eps) == (k + 1, fixed_eps)
             assert accepted.alpha == pytest.approx(want["alpha"], rel=1e-14)
-            assert accepted.beta_new == pytest.approx(want["beta_new"], rel=1e-14)
+            assert accepted.beta == pytest.approx(want["beta_new"], rel=1e-14)
             assert accepted.delta == pytest.approx(want["delta"], rel=1e-14)
-            assert np.allclose(accepted.y, want["y"], rtol=1e-13, atol=1e-15)
+            # y is covered through x, v and the model, which are all formed from it
             assert np.allclose(accepted.v, want["v"], rtol=1e-12, atol=1e-14)
             assert np.allclose(accepted.x, want["x"], rtol=1e-13, atol=1e-15)
-            assert np.allclose(accepted.lam, want["lam_tilde"], rtol=1e-13, atol=1e-15)
+            assert np.allclose(accepted.lam, want["lam"], rtol=1e-13, atol=1e-15)
             assert accepted.model == pytest.approx(want["model"], rel=1e-12, abs=1e-13)
             assert want["accept"]
 
@@ -156,12 +157,15 @@ def test_dual_update_uses_new_point_while_inner_used_old():
     instance = make_synthetic_qp(8, 3, mu=0.0, seed=8)
     _, _, recorder, _ = run(instance, 30)
     moved = 0
-    for _, state, accepted, _, new_state in recorder.steps:
+    for k, state, accepted, _, new_state in recorder.steps:
         coef = accepted.alpha / state.beta
         want_new = state.lam + coef * (instance.A @ accepted.v - instance.b)
         want_tilde = state.lam + coef * (instance.A @ state.v - instance.b)
         assert np.allclose(new_state.lam, want_new, rtol=1e-12, atol=1e-14)
-        assert np.allclose(accepted.lam, want_tilde, rtol=1e-12, atol=1e-14)
+        # the transcription's prox reads lam_tilde, formed from v_k
+        trial = helpers.manual_inner_step(k, state, accepted.M, instance)
+        assert np.array_equal(trial["lam_tilde"], want_tilde)
+        assert np.allclose(accepted.v, trial["v"], rtol=1e-12, atol=1e-14)
         if not np.allclose(want_new, want_tilde):
             moved += 1
     assert moved > 0
@@ -228,6 +232,21 @@ def test_outer_update_sees_every_iteration_in_order():
     assert [s[0] for s in recorder.steps] == list(range(17))
     for k, state, _, _, new_state in recorder.steps:
         assert state.k == k and new_state.k == k + 1
+
+
+@pytest.mark.parametrize("fixed_eps", [None, 1e-3])
+def test_a_step_is_a_function_of_the_state(fixed_eps):
+    # replaying one step from a recorded state rebuilds the next state bit for bit
+    for instance in small_instances():
+        _, _, recorder, _ = run(instance, 12, fixed_eps=fixed_eps)
+        for _, state, _, _, new_state in recorder.steps:
+            replayed = outer_update(state, *line_search(state, instance))
+            for field in dataclasses.fields(SolverState):
+                got, want = getattr(replayed, field.name), getattr(new_state, field.name)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want), field.name
+                else:
+                    assert got == want, field.name
 
 
 @pytest.mark.parametrize("fixed_eps", [None, 1e-3])
@@ -465,7 +484,10 @@ def test_one_k_product_per_trial_and_two_a_products_per_iteration(instance):
         assert state.line_search_total == 0 and a_products[0] == 1 + 2 * trace[-1].k
 
 
-def calls_into_uapd(instance, iterations, root=os.path.dirname(uapd.__file__) + os.sep):
+UAPD_ROOT = os.path.dirname(uapd.__file__) + os.sep
+
+
+def calls_into_uapd(instance, iterations, root=UAPD_ROOT):
     """(calls, k, T) of one solve: Python calls into uapd's own code, iterations, trials.
 
     Only frames whose code lives in the uapd package count, so numpy's
@@ -486,30 +508,39 @@ def calls_into_uapd(instance, iterations, root=os.path.dirname(uapd.__file__) + 
     return calls[0], trace[-1].k, trace[-1].k + state.line_search_total
 
 
-# Per iteration, both: line_search, outer_update, _record, g_value,
-# Trace.append, _targets_met and one _drop per absent trace column (the
-# game has an f_residual).  Per trial, both: inner_step, two _average and
-# lift; the game adds h with its oracle, h_value with its value oracle, K
-# and the entropy prox with _floored_log and _softmax; basis pursuit adds
-# the Euclidean prox with _prox_squared_l1.  Basis pursuit never rejects
-# a trial (h = 0), so k = T there and only the sum of its two constants
-# is pinned.
-@pytest.mark.parametrize("make, per_iteration, per_trial", [
-    (lambda: make_matrix_game(5, 8, seed=5), 7, 12),
-    (lambda: make_basis_pursuit(5, 12, seed=2, sparsity=2), 8, 6),
-], ids=["matrix_game", "basis_pursuit"])
-def test_python_calls_are_fixed_per_iteration_and_per_trial(make, per_iteration, per_trial):
+# uapd's frames per iteration, both: line_search, outer_update, _record,
+# g_value, Trace.append and _targets_met; an absent trace column's append
+# is a C sink, no Python frame.  Per trial, both: inner_step, two _average
+# and lift; the game adds h with its oracle, h_value with its value
+# oracle, K and the entropy prox with _floored_log and _softmax; basis
+# pursuit adds the Euclidean prox with _prox_squared_l1.  All frames
+# (root "") add per trial the generated __init__ of the candidate
+# SolverState and the dispatcher frame of each np.concatenate: the lift's
+# in both, the game's K and value oracle two more; per iteration they add
+# nothing, as the accepted candidate is the next state.  Basis pursuit
+# never rejects a trial (h = 0), so k = T there and only the sum of its
+# two constants is pinned.
+@pytest.mark.parametrize("make, root, per_iteration, per_trial", [
+    (lambda: make_matrix_game(5, 8, seed=5), UAPD_ROOT, 6, 12),
+    (lambda: make_basis_pursuit(5, 12, seed=2, sparsity=2), UAPD_ROOT, 6, 6),
+    (lambda: make_matrix_game(5, 8, seed=5), "", 6, 16),
+    (lambda: make_basis_pursuit(5, 12, seed=2, sparsity=2), "", 6, 8),
+], ids=["matrix_game", "basis_pursuit", "matrix_game-all_frames", "basis_pursuit-all_frames"])
+def test_python_calls_are_fixed_per_iteration_and_per_trial(make, root, per_iteration,
+                                                            per_trial):
     # calls == a k + b T + c, with c the calls of a solve of no iteration
-    setup = calls_into_uapd(make(), 0)[0]
+    setup = calls_into_uapd(make(), 0, root)[0]
     for iterations in (10, 40):
-        calls, k, trials = calls_into_uapd(make(), iterations)
+        calls, k, trials = calls_into_uapd(make(), iterations, root)
         assert k == iterations
         assert calls == per_iteration * k + per_trial * trials + setup
 
 
 @pytest.mark.parametrize("make", [lambda: make_matrix_game(5, 8, seed=5),
-                                  lambda: make_basis_pursuit(5, 12, seed=2, sparsity=2)],
-                         ids=["matrix_game", "basis_pursuit"])
+                                  lambda: make_basis_pursuit(5, 12, seed=2, sparsity=2),
+                                  lambda: make_regularized_matrix_game(20, 30, seed=1, eps=0.1),
+                                  lambda: make_steiner(10, 3, seed=1)],
+                         ids=["matrix_game", "basis_pursuit", "regularized_game", "steiner"])
 def test_no_numpy_method_wrapper_runs_per_iteration_or_per_trial(make):
     # ndarray.max, .sum and .all run a Python frame of numpy's _methods module; the
     # ufunc reduce each one wraps runs none
